@@ -11,8 +11,8 @@
 //!   corrected arc curve (Gharghabi et al. (paper ref. 9)), built on the from-scratch
 //!   [`matrix_profile_index`],
 //! * [`nnsegment`] — the LimeSegment changepoint detector (paper ref. 42),
-//!   approximated as documented in DESIGN.md §4.5: adjacent-window
-//!   z-normalized dissimilarity maxima with an exclusion zone.
+//!   approximated by adjacent-window z-normalized dissimilarity maxima
+//!   with an exclusion zone.
 //!
 //! Each returns interior cut positions compatible with
 //! `tsexplain_segment::Segmentation`.

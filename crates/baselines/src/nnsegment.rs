@@ -1,8 +1,8 @@
 use crate::common::{select_extrema, znormalized_distance};
 
-/// NNSegment (LimeSegment (paper ref. 42)), approximated as documented in
-/// DESIGN.md §4.5: the authors' goal is to "divide a time series into
-/// internally consistent subsequences" using nearest-neighbour window
+/// NNSegment (LimeSegment (paper ref. 42)), approximated from its stated
+/// goal: to "divide a time series into internally consistent
+/// subsequences" using nearest-neighbour window
 /// statistics. We score every candidate split by the z-normalized
 /// Euclidean distance between its two adjacent windows of length `w`,
 /// then greedily take the `k − 1` highest-scoring positions with a `w`

@@ -1,9 +1,10 @@
 //! # tsexplain-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md §6 for the index) plus Criterion micro- and
+//! evaluation, named after it (`fig15_latency_breakdown`,
+//! `table07_optimization_quality`, …), plus Criterion micro- and
 //! macro-benchmarks. Each binary prints the same rows/series the paper
-//! reports; EXPERIMENTS.md records paper-vs-measured.
+//! reports.
 //!
 //! Run a single experiment with e.g.
 //! `cargo run --release -p tsexplain-bench --bin fig11_covid_total`,
@@ -99,8 +100,8 @@ pub fn segment_rows(result: &ExplainResult) -> Vec<SegmentRow> {
 }
 
 /// Prints a Table-3/4/5-style table.
-// Stdout IS this helper's output channel (the experiment binaries pipe it
-// into EXPERIMENTS.md), hence the exemption from the library-wide deny.
+// Stdout IS this helper's output channel (the experiment binaries print
+// their tables), hence the exemption from the library-wide deny.
 #[allow(clippy::print_stdout)]
 pub fn print_segment_table(title: &str, rows: &[SegmentRow], m: usize) {
     println!("\n{title}");

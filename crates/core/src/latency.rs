@@ -2,19 +2,22 @@ use std::time::Duration;
 
 /// Per-stage intra-query parallelism instrumentation: how many worker
 /// threads the request's [`tsexplain_parallel::ParallelCtx`] ran with and
-/// how much of each stage's wall-clock was spent inside parallel fan-out
-/// regions. Parallel and sequential execution are byte-identical by
-/// contract, so these timings are pure observability — they report where
-/// the speedup comes from, never affect what is computed.
+/// how much of each stage's wall-clock was spent inside regions that ran
+/// on more than one worker. Parallel and sequential execution are
+/// byte-identical by contract, so these timings are pure observability —
+/// they report where the speedup comes from, never affect what is
+/// computed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ParallelTimings {
     /// Worker threads of the request's parallel context (1 = sequential).
     pub threads: usize,
-    /// Of `cascading`: wall-clock inside parallel fan-out regions (the
-    /// unit-object top-m derivation).
+    /// Of `cascading`: wall-clock inside multi-worker regions (the
+    /// unit-object top-m lists, and the centroid share of segment
+    /// pricing).
     pub cascading: Duration,
-    /// Of `segmentation`: wall-clock inside parallel fan-out regions (cost
-    /// matrix rows, DP layers, auto-K scheme scoring).
+    /// Of `segmentation`: wall-clock inside multi-worker regions (the
+    /// distance share of segment pricing for cost matrices and auto-K
+    /// scheme scoring).
     pub segmentation: Duration,
 }
 

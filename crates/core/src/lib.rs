@@ -101,7 +101,6 @@ mod durability;
 mod error;
 mod latency;
 mod pipeline;
-mod recommend;
 mod registry;
 mod request;
 mod result;
@@ -116,7 +115,6 @@ pub use deadline::{CancelToken, Deadline};
 pub use durability::CubeSpill;
 pub use error::TsExplainError;
 pub use latency::{LatencyBreakdown, MemoCounters, ParallelTimings};
-pub use recommend::{recommend_explain_by, AttributeScore};
 pub use registry::{
     DatasetId, DatasetSnapshot, RegistryError, RegistryStats, SessionRegistry,
     DEFAULT_REGISTRY_BUDGET,

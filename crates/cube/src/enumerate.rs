@@ -116,7 +116,7 @@ pub(crate) fn enumerate<C: AsRef<[u32]> + Sync>(
 ) -> Enumeration {
     let subsets = enumerate_subsets(attr_codes.len(), max_order);
     let cancel = par.cancel_token().cloned();
-    let parts = par.run_chunks(subsets.len(), |range| {
+    let parts = par.run_chunks(subsets.len(), 1, |range| {
         range
             .map(|si| {
                 // Subset-boundary poll: the builder re-checks after the
@@ -156,7 +156,7 @@ pub(crate) fn enumerate_with_groups<C: AsRef<[u32]> + Sync>(
     par: &ParallelCtx,
 ) -> (SubsetGroups, Vec<Explanation>, Vec<Vec<AggState>>) {
     let cancel = par.cancel_token().cloned();
-    let parts = par.run_chunks(subsets.len(), |range| {
+    let parts = par.run_chunks(subsets.len(), 1, |range| {
         range
             .map(|si| {
                 if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {

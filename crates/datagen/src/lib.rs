@@ -8,8 +8,7 @@
 //! constituents, Iowa liquor sales, CDC deaths) are not available offline,
 //! so each is replaced by a generator that reproduces the statistics the
 //! paper reports (Table 6: ε, filtered ε, n) and the qualitative structure
-//! the case studies rely on — see DESIGN.md §5 for the substitution
-//! rationale.
+//! the case studies rely on.
 //!
 //! * [`synthetic`] — the ground-truth corpus: piecewise-linear per-category
 //!   series with alternating trends and Gaussian noise at SNR dB levels.

@@ -3,8 +3,8 @@ use rand::{Rng, RngExt};
 /// Samples one standard-normal-derived Gaussian via the Box–Muller
 /// transform.
 ///
-/// `rand_distr` is not among the approved offline crates, and Box–Muller is
-/// all the generators need (see DESIGN.md §8).
+/// `rand_distr` is not among the vendored offline crates, and Box–Muller is
+/// all the generators need.
 pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     // Avoid ln(0): u1 ∈ (0, 1].
     let u1: f64 = 1.0 - rng.random::<f64>();

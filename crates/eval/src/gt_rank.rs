@@ -1,4 +1,4 @@
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use tsexplain_segment::{Segmentation, SegmentationContext};
 
@@ -8,44 +8,27 @@ use tsexplain_segment::{Segmentation, SegmentationContext};
 /// distinct segments number only `O(n²)`, so caching per-segment costs
 /// turns the study from quadratic-in-samples to linear.
 ///
-/// The caching normally lives in [`SegmentationContext`]'s own
-/// segment-cost memo (every repeated segment is a lookup there); this
-/// wrapper then only tracks which distinct segments the *study* touched.
-/// When the context was built `without_memo()`, the wrapper falls back to
-/// a local cost map so the study stays linear regardless of how the
-/// context is configured.
+/// The caching lives in [`SegmentationContext`]'s own segment-cost memo
+/// (every repeated segment is a lookup there); this wrapper only tracks
+/// which distinct segments the *study* touched.
 pub struct CachedObjective<'c, 'a> {
     ctx: &'c mut SegmentationContext<'a>,
     seen: HashSet<(usize, usize)>,
-    /// Local fallback cache, used only when the context's memo is off.
-    local: Option<HashMap<(usize, usize), f64>>,
 }
 
 impl<'c, 'a> CachedObjective<'c, 'a> {
-    /// Wraps a segmentation context with a cost memo.
+    /// Wraps a segmentation context, whose memo does the caching.
     pub fn new(ctx: &'c mut SegmentationContext<'a>) -> Self {
-        let local = (!ctx.memo_enabled()).then(HashMap::new);
         CachedObjective {
             ctx,
             seen: HashSet::new(),
-            local,
         }
     }
 
     /// The memoized cost of one segment.
     pub fn segment_cost(&mut self, seg: (usize, usize)) -> f64 {
         self.seen.insert(seg);
-        match &mut self.local {
-            None => self.ctx.segment_cost(seg),
-            Some(local) => {
-                if let Some(&c) = local.get(&seg) {
-                    return c;
-                }
-                let c = self.ctx.segment_cost(seg);
-                local.insert(seg, c);
-                c
-            }
-        }
+        self.ctx.segment_cost(seg)
     }
 
     /// The memoized objective of a whole scheme.
@@ -136,29 +119,6 @@ mod tests {
         let _ = obj.objective(&s2);
         // (0,5) shared between s1 and s2 is computed once.
         assert_eq!(obj.distinct_segments(), 4);
-    }
-
-    #[test]
-    fn local_cache_keeps_study_linear_when_context_memo_is_off() {
-        let cube = cube();
-        let mut ctx = SegmentationContext::new(
-            &cube,
-            DiffMetric::AbsoluteChange,
-            3,
-            TopExplStrategy::Exact,
-            VarianceMetric::Tse,
-        )
-        .without_memo();
-        let mut obj = CachedObjective::new(&mut ctx);
-        let s = Segmentation::new(10, vec![5]).unwrap();
-        let a = obj.objective(&s);
-        let derivations_after_first = obj.ctx.ca_derivations();
-        let b = obj.objective(&s);
-        assert_eq!(a.to_bits(), b.to_bits());
-        // The repeat was served by the wrapper's local cache: no new
-        // centroid derivations despite the context memo being disabled.
-        assert_eq!(obj.ctx.ca_derivations(), derivations_after_first);
-        assert_eq!(obj.distinct_segments(), 2);
     }
 
     #[test]

@@ -29,6 +29,15 @@
 //! enumerations), so spawn cost is noise, and scoped borrows keep the API
 //! free of `Arc`/`'static` ceremony — chunk closures borrow the query's
 //! data directly.
+//!
+//! **When a region runs inline.** Callers never branch on the thread
+//! count: every region goes through [`ParallelCtx::run_chunks`], which
+//! runs the closure inline on the caller's thread exactly when
+//! [`ParallelCtx::chunk_ranges`] yields one chunk — that is, with one
+//! thread, or when the region has fewer items than the `min_len` its
+//! caller passes (the smallest region worth a spawn, a per-call-site
+//! constant). The rule depends only on `(n, min_len, threads)`, never on
+//! scheduling, and either way the output is the same.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]
@@ -133,19 +142,16 @@ impl ParallelCtx {
         self.threads
     }
 
-    /// True when regions run inline on the caller's thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
-    /// Splits `0..n` into at most `threads` contiguous chunks and runs `f`
-    /// on each chunk, one scoped thread per chunk; the per-chunk outputs
-    /// are concatenated **in chunk order**.
+    /// Splits `0..n` into the chunks of [`ParallelCtx::chunk_ranges`] and
+    /// runs `f` on each chunk, one scoped thread per chunk; the per-chunk
+    /// outputs are concatenated **in chunk order**.
     ///
-    /// Chunk boundaries depend only on `(n, threads)` and the reduction
-    /// order is fixed, so the result is independent of scheduling — the
-    /// determinism contract. With one thread (or one chunk) `f` runs
-    /// inline with no spawns.
+    /// Chunk boundaries depend only on `(n, min_len, threads)` and the
+    /// reduction order is fixed, so the result is independent of
+    /// scheduling — the determinism contract. When there is one chunk
+    /// (one thread, or `n < min_len`) `f` runs inline on the caller's
+    /// thread with no spawns; `min_len` is the smallest region worth
+    /// fanning out.
     ///
     /// When a [`CancelToken`] is attached and trips, workers that have
     /// not yet started their chunk skip it (their slot contributes
@@ -153,12 +159,12 @@ impl ParallelCtx {
     /// may be **truncated**. Callers that attach a token must re-check
     /// [`ParallelCtx::is_cancelled`] after the region and discard the
     /// output; without a token the result is always complete.
-    pub fn run_chunks<T, F>(&self, n: usize, f: F) -> Vec<T>
+    pub fn run_chunks<T, F>(&self, n: usize, min_len: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(Range<usize>) -> Vec<T> + Sync,
     {
-        let ranges = self.chunk_ranges(n);
+        let ranges = self.chunk_ranges(n, min_len);
         if ranges.len() <= 1 {
             if self.is_cancelled() {
                 return Vec::new();
@@ -193,24 +199,29 @@ impl ParallelCtx {
     }
 
     /// Maps `f` over `0..n` with deterministic ordering: `out[i] = f(i)`,
-    /// computed across the worker chunks. Convenience over
-    /// [`ParallelCtx::run_chunks`] for per-index work.
+    /// computed across the worker chunks (every index is worth a worker).
+    /// Convenience over [`ParallelCtx::run_chunks`] for per-index work.
     pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.run_chunks(n, |range| range.map(&f).collect())
+        self.run_chunks(n, 1, |range| range.map(&f).collect())
     }
 
-    /// The contiguous chunk decomposition of `0..n` this context uses: at
-    /// most `threads` chunks of near-equal size (the first `n % chunks`
-    /// chunks are one element longer). Deterministic in `(n, threads)`.
-    pub fn chunk_ranges(&self, n: usize) -> Vec<Range<usize>> {
+    /// The contiguous chunk decomposition of `0..n` this context uses: one
+    /// chunk when `n < min_len`, otherwise at most `threads` chunks of
+    /// near-equal size (the first `n % chunks` chunks are one element
+    /// longer). Deterministic in `(n, min_len, threads)`.
+    pub fn chunk_ranges(&self, n: usize, min_len: usize) -> Vec<Range<usize>> {
         if n == 0 {
             return Vec::new();
         }
-        let chunks = self.threads.min(n).max(1);
+        let chunks = if n < min_len {
+            1
+        } else {
+            self.threads.min(n).max(1)
+        };
         let base = n / chunks;
         let extra = n % chunks;
         let mut ranges = Vec::with_capacity(chunks);
@@ -248,7 +259,7 @@ mod tests {
         for threads in [1, 2, 3, 7, 8] {
             let ctx = ParallelCtx::new(threads);
             for n in [0usize, 1, 2, 5, 16, 97] {
-                let ranges = ctx.chunk_ranges(n);
+                let ranges = ctx.chunk_ranges(n, 1);
                 assert!(ranges.len() <= threads.max(1));
                 let mut expected = 0;
                 for r in &ranges {
@@ -273,10 +284,10 @@ mod tests {
     #[test]
     fn run_chunks_concatenates_in_chunk_order() {
         let ctx = ParallelCtx::new(4);
-        let out = ctx.run_chunks(10, |range| range.map(|i| i as u64).collect());
+        let out = ctx.run_chunks(10, 1, |range| range.map(|i| i as u64).collect());
         assert_eq!(out, (0..10u64).collect::<Vec<_>>());
         // Variable-length chunk outputs also concatenate in order.
-        let out = ctx.run_chunks(8, |range| {
+        let out = ctx.run_chunks(8, 1, |range| {
             range.flat_map(|i| std::iter::repeat_n(i, i % 3)).collect()
         });
         let expected: Vec<usize> = (0..8).flat_map(|i| std::iter::repeat_n(i, i % 3)).collect();
@@ -288,7 +299,7 @@ mod tests {
         let ctx = ParallelCtx::new(4);
         let peak = AtomicUsize::new(0);
         let live = AtomicUsize::new(0);
-        ctx.run_chunks(4, |range| {
+        ctx.run_chunks(4, 1, |range| {
             let now = live.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             // Hold the slot long enough for the other workers to arrive.
@@ -302,11 +313,22 @@ mod tests {
 
     #[test]
     fn sequential_context_runs_inline() {
-        let ctx = ParallelCtx::sequential();
-        assert!(ctx.is_sequential());
         let caller = std::thread::current().id();
-        let ids = ctx.map(3, |_| std::thread::current().id());
-        assert!(ids.iter().all(|&id| id == caller));
+        let on_caller = |ctx: &ParallelCtx, n: usize, min_len: usize| {
+            ctx.run_chunks(n, min_len, |range| {
+                range.map(|_| std::thread::current().id()).collect()
+            })
+            .iter()
+            .all(|&id| id == caller)
+        };
+        assert!(on_caller(&ParallelCtx::sequential(), 3, 1));
+        // Below `min_len` even a multi-thread context stays inline, at
+        // and above it the region fans out.
+        let ctx = ParallelCtx::new(4);
+        assert_eq!(ctx.chunk_ranges(15, 16).len(), 1);
+        assert!(on_caller(&ctx, 15, 16));
+        assert_eq!(ctx.chunk_ranges(16, 16).len(), 4);
+        assert!(!on_caller(&ctx, 16, 16));
     }
 
     #[test]
@@ -323,11 +345,11 @@ mod tests {
         token.cancel();
         let ctx = ParallelCtx::new(4).with_cancel(token.clone());
         assert!(ctx.is_cancelled());
-        let out = ctx.run_chunks(100, |range| range.collect::<Vec<usize>>());
+        let out = ctx.run_chunks(100, 1, |range| range.collect::<Vec<usize>>());
         assert!(out.is_empty(), "cancelled workers skip their chunks");
         // An untripped token leaves results complete and ordered.
         let live = ParallelCtx::new(4).with_cancel(CancelToken::new());
-        let out = live.run_chunks(100, |range| range.collect::<Vec<usize>>());
+        let out = live.run_chunks(100, 1, |range| range.collect::<Vec<usize>>());
         assert_eq!(out, (0..100).collect::<Vec<_>>());
         assert!(!live.is_cancelled());
     }
@@ -340,7 +362,7 @@ mod tests {
         // caller observes the cancellation.
         let token = CancelToken::after_polls(1);
         let ctx = ParallelCtx::new(4).with_cancel(token);
-        let out = ctx.run_chunks(64, |range| {
+        let out = ctx.run_chunks(64, 1, |range| {
             std::thread::sleep(std::time::Duration::from_millis(5));
             range.collect::<Vec<usize>>()
         });

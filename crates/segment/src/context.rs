@@ -15,38 +15,46 @@ use crate::variance::{object_centroid_distance, object_pair_distance, VarianceMe
 /// the parallel/sequential boundary never depends on scheduling.
 const PAR_MIN_OBJECTS: usize = 32;
 
-/// Below this many candidate positions the cost matrix runs inline.
-const PAR_MIN_POSITIONS: usize = 16;
-
-/// One parallel cost-matrix row: `(pj, cost, served_from_memo)` cells plus
-/// the worker engine's derivation count for that row.
-type CostRow = (Vec<(usize, f64, bool)>, u64);
-
-/// Below this many points a scheme-scoring batch runs inline.
-const PAR_MIN_SCORING_POINTS: usize = 32;
+/// Below this many segments a pricing batch runs inline.
+const PAR_MIN_SEGMENTS: usize = 16;
 
 /// Wall-clock accumulators for the two segment-side pipeline stages the
 /// paper's latency breakdown separates (Fig. 15): the Cascading Analysts
 /// module (b) and the distance/variance/DP module (c).
 ///
+/// A pricing region mixes both modules — each segment's centroid top-m
+/// derivation is module (b), its distance scan module (c) — and its
+/// workers' wall-clocks overlap, so the region's wall-clock is split
+/// between the two stages in the ratio of the workers' summed centroid
+/// time to their summed total time. Inline (one worker) that ratio is the
+/// exact per-module attribution; at any thread count the split is
+/// comparable.
+///
 /// The `par_*` fields record the portion of each stage spent inside
-/// [`ParallelCtx`] fan-out regions (also included in the stage totals), so
-/// callers can report how much of a stage actually ran across the worker
-/// set. A parallel region's whole wall-clock is attributed to the stage
-/// that owns the region — a parallel cost-matrix region counts under
-/// `segmentation` even for the centroid top-m derivations inside it
-/// (worker wall-clocks overlap, so a per-module split is not meaningful
-/// there); sequential runs keep the exact per-module attribution.
+/// [`ParallelCtx`] regions that ran on more than one worker (also included
+/// in the stage totals), so callers can report how much of a stage
+/// actually ran across the worker set.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimers {
     /// Time spent deriving top-m explanations (module b).
     pub cascading: Duration,
     /// Time spent on distances, variances and the DP (module c).
     pub segmentation: Duration,
-    /// Of `cascading`: wall-clock inside parallel fan-out regions.
+    /// Of `cascading`: wall-clock inside multi-worker regions.
     pub par_cascading: Duration,
-    /// Of `segmentation`: wall-clock inside parallel fan-out regions.
+    /// Of `segmentation`: wall-clock inside multi-worker regions.
     pub par_segmentation: Duration,
+}
+
+/// One segment priced by a pricing-region worker.
+struct Priced {
+    cost: f64,
+    /// Top-m derivations the pricing performed.
+    calls: u64,
+    /// Wall-clock of the centroid derivation (module b).
+    centroid: Duration,
+    /// Wall-clock of the whole pricing.
+    total: Duration,
 }
 
 /// Orchestrates segment explanation and cost computation: caches the unit
@@ -62,9 +70,9 @@ pub struct SegmentationContext<'a> {
     parallel: ParallelCtx,
     object_tops: Option<Vec<ExplainedSegment>>,
     timers: StageTimers,
-    /// Top-m derivations performed by per-worker engines inside parallel
-    /// regions; [`SegmentationContext::ca_calls`] adds them to the main
-    /// engine's counter so the total is thread-count-independent.
+    /// Top-m derivations performed by the per-worker engines of
+    /// [`ParallelCtx`] regions; [`SegmentationContext::ca_calls`] adds them
+    /// to the main engine's counter so the total is thread-count-independent.
     extra_calls: u64,
     /// Segment-cost memo keyed by point-index pair `(a, b)` — one request
     /// repeatedly prices the same segments (the auto-K proposal sweep, the
@@ -72,9 +80,6 @@ pub struct SegmentationContext<'a> {
     /// and costs are pure functions of the segment, so every repeat is a
     /// lookup instead of a fresh centroid derivation + distance scan.
     memo: HashMap<(usize, usize), f64>,
-    /// Disabled via [`SegmentationContext::without_memo`] (testing /
-    /// apples-to-apples measurement); costs are identical either way.
-    memo_enabled: bool,
     memo_hits: u64,
     memo_misses: u64,
     /// Centroid derivations *avoided* by memo hits. Added back into
@@ -105,7 +110,6 @@ impl<'a> SegmentationContext<'a> {
             timers: StageTimers::default(),
             extra_calls: 0,
             memo: HashMap::new(),
-            memo_enabled: true,
             memo_hits: 0,
             memo_misses: 0,
             hit_calls: 0,
@@ -132,22 +136,6 @@ impl<'a> SegmentationContext<'a> {
     /// *successful* request returns.
     pub fn is_cancelled(&self) -> bool {
         self.parallel.is_cancelled()
-    }
-
-    /// Disables the segment-cost memo (builder style). Costs and reported
-    /// `ca_calls` are identical either way — the memo only changes how
-    /// many derivations are actually performed — so this exists for tests
-    /// and for measuring the memo's effect.
-    pub fn without_memo(mut self) -> Self {
-        self.memo_enabled = false;
-        self
-    }
-
-    /// Whether the segment-cost memo is active (callers layering their
-    /// own caching — e.g. the eval study's `CachedObjective` — use this
-    /// to decide whether they must cache locally instead).
-    pub fn memo_enabled(&self) -> bool {
-        self.memo_enabled
     }
 
     /// Segment-cost lookups served from the memo.
@@ -220,46 +208,118 @@ impl<'a> SegmentationContext<'a> {
         ExplainedSegment::new(seg, top)
     }
 
+    /// Books a region's wall-clock: `cascading` of it to module (b), the
+    /// rest to module (c), and both to the `par_*` timers too when the
+    /// region ran on more than one worker.
+    fn book_region(&mut self, wall: Duration, cascading: Duration, fanned_out: bool) {
+        let segmentation = wall.saturating_sub(cascading);
+        self.timers.cascading += cascading;
+        self.timers.segmentation += segmentation;
+        if fanned_out {
+            self.timers.par_cascading += cascading;
+            self.timers.par_segmentation += segmentation;
+        }
+    }
+
     /// Ensures the unit-object top lists are cached. The per-object
-    /// derivations are mutually independent, so large inputs fan out over
-    /// the parallel context (chunk-ordered, byte-identical to sequential).
+    /// derivations are mutually independent, so they fan out over the
+    /// parallel context (chunk-ordered, byte-identical at any thread
+    /// count).
     fn ensure_objects(&mut self) {
         if self.object_tops.is_some() {
             return;
         }
         let count = self.n_points().saturating_sub(1);
+        let fanned_out = self.parallel.chunk_ranges(count, PAR_MIN_OBJECTS).len() > 1;
         let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
-        let tops: Vec<ExplainedSegment> =
-            if self.parallel.is_sequential() || count < PAR_MIN_OBJECTS {
-                (0..count)
-                    .map(|x| ExplainedSegment::new((x, x + 1), self.engine.top_m((x, x + 1))))
-                    .collect()
-            } else {
-                let cube = self.engine.cube();
-                let (diff, m, strategy) = (self.diff_metric, self.engine.m(), self.strategy);
-                let parts = self.parallel.run_chunks(count, |range| {
-                    let mut engine = TopExplEngine::new(cube, diff, m, strategy);
-                    let tops: Vec<ExplainedSegment> = range
-                        .map(|x| ExplainedSegment::new((x, x + 1), engine.top_m((x, x + 1))))
-                        .collect();
-                    vec![(tops, engine.calls())]
-                });
-                let mut tops = Vec::with_capacity(count);
-                for (part, calls) in parts {
-                    tops.extend(part);
-                    self.extra_calls += calls;
-                }
-                self.timers.par_cascading += start.elapsed();
-                tops
-            };
-        self.timers.cascading += start.elapsed();
+        let cube = self.engine.cube();
+        let (diff, m, strategy) = (self.diff_metric, self.engine.m(), self.strategy);
+        let parts = self.parallel.run_chunks(count, PAR_MIN_OBJECTS, |range| {
+            let mut engine = TopExplEngine::new(cube, diff, m, strategy);
+            let tops: Vec<ExplainedSegment> = range
+                .map(|x| ExplainedSegment::new((x, x + 1), engine.top_m((x, x + 1))))
+                .collect();
+            vec![(tops, engine.calls())]
+        });
+        let mut tops = Vec::with_capacity(count);
+        for (part, calls) in parts {
+            tops.extend(part);
+            self.extra_calls += calls;
+        }
+        let wall = start.elapsed();
+        self.book_region(wall, wall, fanned_out);
         self.object_tops = Some(tops);
     }
 
-    /// The cached top-explanations of unit object `[p_x, p_{x+1}]`.
-    pub fn object_top(&mut self, x: usize) -> ExplainedSegment {
+    /// Prices `segs` — distinct multi-object segments the memo cannot
+    /// answer — in one [`ParallelCtx`] region with one top-m engine per
+    /// worker, then writes the costs, memo entries, derivation counts and
+    /// stage time back in input order. Every cost comes from the same
+    /// [`raw_segment_cost`] as [`SegmentationContext::segment_cost`], so
+    /// the result is byte-identical at any thread count.
+    ///
+    /// Returns the costs in input order, or nothing once the request is
+    /// cancelled — a cancelled region never writes to the memo.
+    fn price_batch(&mut self, segs: &[(usize, usize)]) -> Vec<f64> {
+        if segs.is_empty() {
+            return Vec::new();
+        }
         self.ensure_objects();
-        self.object_tops.as_ref().expect("cached")[x].clone()
+        let n = segs.len();
+        let fanned_out = self.parallel.chunk_ranges(n, PAR_MIN_SEGMENTS).len() > 1;
+        let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+        let cube = self.engine.cube();
+        let objects = self.object_tops.as_ref().expect("cached");
+        let (diff, metric, m, strategy) = (
+            self.diff_metric,
+            self.metric,
+            self.engine.m(),
+            self.strategy,
+        );
+        let cancel = self.parallel.cancel_token().cloned();
+        let priced: Vec<Priced> = self.parallel.run_chunks(n, PAR_MIN_SEGMENTS, |range| {
+            let mut engine = TopExplEngine::new(cube, diff, m, strategy);
+            let mut out = Vec::with_capacity(range.len());
+            for &seg in &segs[range] {
+                // Per-segment poll: workers stop pricing promptly, and the
+                // truncated region is discarded below.
+                if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+                    break;
+                }
+                let seg_start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
+                let before = engine.calls();
+                let (cost, centroid) =
+                    raw_segment_cost(cube, diff, metric, objects, &mut engine, seg);
+                out.push(Priced {
+                    cost,
+                    calls: engine.calls() - before,
+                    centroid,
+                    total: seg_start.elapsed(),
+                });
+            }
+            out
+        });
+        let wall = start.elapsed();
+        if self.parallel.is_cancelled() {
+            return Vec::new();
+        }
+        let (mut centroid, mut total) = (Duration::ZERO, Duration::ZERO);
+        let mut costs = Vec::with_capacity(n);
+        for (&seg, p) in segs.iter().zip(priced) {
+            self.memo.insert(seg, p.cost);
+            self.memo_misses += 1;
+            self.extra_calls += p.calls;
+            centroid += p.centroid;
+            total += p.total;
+            costs.push(p.cost);
+        }
+        let share = if total.is_zero() {
+            0.0
+        } else {
+            (centroid.as_secs_f64() / total.as_secs_f64()).min(1.0)
+        };
+        self.book_region(wall, wall.mul_f64(share), fanned_out);
+        costs
     }
 
     /// Computes the DP cost matrix over the candidate cut `positions`
@@ -286,100 +346,37 @@ impl<'a> SegmentationContext<'a> {
             _ => CostMatrix::dense(n_pos),
         };
 
-        if self.parallel.is_sequential() || n_pos < PAR_MIN_POSITIONS {
-            for pi in 0..n_pos {
-                // Per-row cancellation poll: a cancelled request stops
-                // pricing and returns the (partial, discarded) matrix.
-                if self.parallel.is_cancelled() {
-                    return matrix;
-                }
-                for pj in pi + 1..n_pos {
-                    let (a, b) = (positions[pi], positions[pj]);
-                    if let Some(max_len) = max_len_points {
-                        if b - a > max_len {
-                            break; // spans only grow with pj
-                        }
-                    }
-                    let cost = self.segment_cost((a, b));
-                    matrix.set(pi, pj, cost);
-                }
-            }
-            return matrix;
-        }
-
-        // Parallel path: one matrix row per `pi`, rows fanned across the
-        // worker chunks. Each worker owns a private top-m engine (top-m
-        // derivations are call-independent), every cell's cost is computed
-        // by the same [`raw_segment_cost`] the sequential path uses, and
-        // the rows are written back in row order — byte-identical output.
-        // Workers read (never write) the memo as it stood when the region
-        // opened; cells within one call are distinct, so this sees exactly
-        // the hits the sequential loop would.
-        let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
-        let cube = self.engine.cube();
-        let objects = self.object_tops.as_ref().expect("cached");
-        let memo = self.memo_enabled.then_some(&self.memo);
-        let (diff, metric, m, strategy) = (
-            self.diff_metric,
-            self.metric,
-            self.engine.m(),
-            self.strategy,
-        );
-        let cancel = self.parallel.cancel_token().cloned();
-        let rows: Vec<CostRow> = self.parallel.run_chunks(n_pos, |range| {
-            let mut engine = TopExplEngine::new(cube, diff, m, strategy);
-            range
-                .map(|pi| {
-                    let before = engine.calls();
-                    let mut cells = Vec::new();
-                    // Per-row poll inside the chunk: workers stop pricing
-                    // promptly; the whole region's output is discarded by
-                    // the erroring request.
-                    if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                        return (cells, 0);
-                    }
-                    for pj in pi + 1..n_pos {
-                        let (a, b) = (positions[pi], positions[pj]);
-                        if let Some(max_len) = max_len_points {
-                            if b - a > max_len {
-                                break; // spans only grow with pj
-                            }
-                        }
-                        if let Some(&cost) = memo.and_then(|memo| memo.get(&(a, b))) {
-                            cells.push((pj, cost, true));
-                            continue;
-                        }
-                        let (cost, _) =
-                            raw_segment_cost(cube, diff, metric, objects, &mut engine, (a, b));
-                        cells.push((pj, cost, false));
-                    }
-                    (cells, engine.calls() - before)
-                })
-                .collect()
-        });
-        for (pi, (cells, calls)) in rows.into_iter().enumerate() {
-            self.extra_calls += calls;
-            for (pj, cost, from_memo) in cells {
+        // Unit spans cost zero and memo hits are lookups; every other cell
+        // is a distinct segment for one pricing batch.
+        let mut cells = Vec::new();
+        let mut pending = Vec::new();
+        for pi in 0..n_pos {
+            for pj in pi + 1..n_pos {
                 let seg = (positions[pi], positions[pj]);
-                if seg.1 - seg.0 > 1 {
-                    if from_memo {
-                        self.record_hits(1);
-                    } else if self.memo_enabled {
-                        self.memo.insert(seg, cost);
-                        self.memo_misses += 1;
-                    }
+                if max_len_points.is_some_and(|max_len| seg.1 - seg.0 > max_len) {
+                    break; // spans only grow with pj
                 }
-                matrix.set(pi, pj, cost);
+                if seg.1 - seg.0 == 1 {
+                    matrix.set(pi, pj, 0.0);
+                } else if let Some(&cost) = self.memo.get(&seg) {
+                    self.record_hits(1);
+                    matrix.set(pi, pj, cost);
+                } else {
+                    cells.push((pi, pj));
+                    pending.push(seg);
+                }
             }
         }
-        let elapsed = start.elapsed();
-        self.timers.segmentation += elapsed;
-        self.timers.par_segmentation += elapsed;
+        let costs = self.price_batch(&pending);
+        for ((pi, pj), cost) in cells.into_iter().zip(costs) {
+            matrix.set(pi, pj, cost);
+        }
         matrix
     }
 
     /// The DP cost `|P| · var(P)` of one segment `(a, b)` (point indices)
-    /// under the context's variance metric.
+    /// under the context's variance metric — the single-segment API, and
+    /// the reference every batched pricing is tested against.
     ///
     /// For the centroid structure (Eq. 7) this is the *sum* of
     /// object↔centroid distances; for the all-pair structure (Eq. 10) it is
@@ -390,19 +387,19 @@ impl<'a> SegmentationContext<'a> {
         if b - a == 1 {
             return 0.0; // a single object is its own centroid
         }
-        // Cancellation poll: bail before deriving or touching the memo,
-        // so no placeholder cost and no counter bump can ever leak out of
-        // a cancelled (and therefore erroring) request.
+        self.ensure_objects();
+        // Cancellation poll: after the object tops (a trip inside their
+        // region may leave them truncated) and before deriving or
+        // touching the memo, so no placeholder cost and no counter bump
+        // can ever leak out of a cancelled (and therefore erroring)
+        // request.
         if self.parallel.is_cancelled() {
             return 0.0;
         }
-        if self.memo_enabled {
-            if let Some(&cost) = self.memo.get(&seg) {
-                self.record_hits(1);
-                return cost;
-            }
+        if let Some(&cost) = self.memo.get(&seg) {
+            self.record_hits(1);
+            return cost;
         }
-        self.ensure_objects();
         let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
         let cube = self.engine.cube();
         let objects = self.object_tops.as_ref().expect("cached");
@@ -414,15 +411,9 @@ impl<'a> SegmentationContext<'a> {
             &mut self.engine,
             seg,
         );
-        // Preserve the module attribution of the latency breakdown
-        // (Fig. 15): centroid top-m derivation is Cascading-Analysts work
-        // (module b), distances are segmentation work (module c).
-        self.timers.cascading += centroid_time;
-        self.timers.segmentation += start.elapsed().saturating_sub(centroid_time);
-        if self.memo_enabled {
-            self.memo.insert(seg, cost);
-            self.memo_misses += 1;
-        }
+        self.book_region(start.elapsed(), centroid_time, false);
+        self.memo.insert(seg, cost);
+        self.memo_misses += 1;
         cost
     }
 
@@ -441,17 +432,12 @@ impl<'a> SegmentationContext<'a> {
     /// byte-identical to scoring each scheme with
     /// [`SegmentationContext::objective`].
     ///
-    /// With the memo on (the default), each *unique* segment across the
-    /// batch is priced exactly once — nested auto-K proposals share most
-    /// of their segments, which is where the sweep's redundant centroid
-    /// derivations used to go — and the unique set fans out across the
-    /// parallel context. Per-scheme sums then read the memo in input
-    /// order, so the summation order (and hence every f64 bit) matches
-    /// the unmemoized path.
+    /// Each *unique* segment across the batch is priced exactly once —
+    /// nested auto-K proposals share most of their segments — in one
+    /// pricing batch. Per-scheme sums then read the memo in input order,
+    /// so the summation order (and hence every f64 bit) matches
+    /// [`SegmentationContext::objective`].
     pub fn objective_batch(&mut self, schemes: &[Segmentation]) -> Vec<f64> {
-        if !self.memo_enabled {
-            return self.objective_batch_unmemoized(schemes);
-        }
         // The unique segments the memo cannot answer yet, in first-seen
         // order (deterministic fan-out chunking).
         let mut pending: Vec<(usize, usize)> = Vec::new();
@@ -463,59 +449,18 @@ impl<'a> SegmentationContext<'a> {
                 }
             }
         }
-        if self.parallel.is_sequential()
-            || pending.len() < 2
-            || self.n_points() < PAR_MIN_SCORING_POINTS
-        {
-            for &seg in &pending {
-                let _ = self.segment_cost(seg); // computes, inserts, counts the miss
-            }
-        } else {
-            self.ensure_objects();
-            let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
-            let cube = self.engine.cube();
-            let objects = self.object_tops.as_ref().expect("cached");
-            let (diff, metric, m, strategy) = (
-                self.diff_metric,
-                self.metric,
-                self.engine.m(),
-                self.strategy,
-            );
-            let cancel = self.parallel.cancel_token().cloned();
-            let parts: Vec<(f64, u64)> = self.parallel.run_chunks(pending.len(), |range| {
-                let mut engine = TopExplEngine::new(cube, diff, m, strategy);
-                range
-                    .map(|i| {
-                        if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                            return (0.0, 0); // discarded by the erroring request
-                        }
-                        let before = engine.calls();
-                        let (cost, _) =
-                            raw_segment_cost(cube, diff, metric, objects, &mut engine, pending[i]);
-                        (cost, engine.calls() - before)
-                    })
-                    .collect()
-            });
-            for (&seg, (cost, calls)) in pending.iter().zip(parts) {
-                self.memo.insert(seg, cost);
-                self.memo_misses += 1;
-                self.extra_calls += calls;
-            }
-            let elapsed = start.elapsed();
-            self.timers.segmentation += elapsed;
-            self.timers.par_segmentation += elapsed;
-        }
-        // A cancelled sweep may have priced only a prefix of `pending`
-        // (zip truncation above, or segment_cost's early return): the
-        // read-back below would miss memo entries, so discard the batch —
-        // the driver surfaces the cancellation as a typed error.
+        // Inserts every pending cost into the memo and counts the misses.
+        let _ = self.price_batch(&pending);
+        // A cancelled sweep priced nothing into the memo: the read-back
+        // below would miss entries, so discard the batch — the segmenter
+        // surfaces the cancellation as a typed error.
         if self.parallel.is_cancelled() {
             return Vec::new();
         }
         // Each scheme's sum folds its segment costs in segment order —
-        // the same fold the unmemoized path performs. The first occurrence
-        // of a segment priced above was already charged as a miss; every
-        // other occurrence is a memo hit.
+        // the same fold `objective` performs. The first occurrence of a
+        // segment priced above was already charged as a miss; every other
+        // occurrence is a memo hit.
         let mut charged = pending_set;
         let mut out = Vec::with_capacity(schemes.len());
         for scheme in schemes {
@@ -536,66 +481,13 @@ impl<'a> SegmentationContext<'a> {
         }
         out
     }
-
-    /// The memo-off scoring path: every scheme prices every segment from
-    /// scratch (what `objective_batch` did before the memo existed) —
-    /// kept so disabling the memo reproduces the historical work profile
-    /// exactly, which is what the memo-invisibility tests compare against.
-    fn objective_batch_unmemoized(&mut self, schemes: &[Segmentation]) -> Vec<f64> {
-        if self.parallel.is_sequential()
-            || schemes.len() < 2
-            || self.n_points() < PAR_MIN_SCORING_POINTS
-        {
-            return schemes.iter().map(|s| self.objective(s)).collect();
-        }
-        self.ensure_objects();
-        let start = Instant::now(); // tsx-lint: allow(wall-clock, feeds StageTimers only; the latency block is golden-stripped)
-        let cube = self.engine.cube();
-        let objects = self.object_tops.as_ref().expect("cached");
-        let (diff, metric, m, strategy) = (
-            self.diff_metric,
-            self.metric,
-            self.engine.m(),
-            self.strategy,
-        );
-        let cancel = self.parallel.cancel_token().cloned();
-        let parts: Vec<(f64, u64)> = self.parallel.run_chunks(schemes.len(), |range| {
-            let mut engine = TopExplEngine::new(cube, diff, m, strategy);
-            range
-                .map(|i| {
-                    if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                        return (0.0, 0); // discarded by the erroring request
-                    }
-                    let before = engine.calls();
-                    let cost: f64 = schemes[i]
-                        .segments()
-                        .into_iter()
-                        .map(|seg| {
-                            raw_segment_cost(cube, diff, metric, objects, &mut engine, seg).0
-                        })
-                        .sum();
-                    (cost, engine.calls() - before)
-                })
-                .collect()
-        });
-        let mut out = Vec::with_capacity(schemes.len());
-        for (cost, calls) in parts {
-            out.push(cost);
-            self.extra_calls += calls;
-        }
-        let elapsed = start.elapsed();
-        self.timers.segmentation += elapsed;
-        self.timers.par_segmentation += elapsed;
-        out
-    }
 }
 
 /// The DP cost `|P| · var(P)` of one segment under `metric` — the one
-/// implementation both the sequential [`SegmentationContext::segment_cost`]
-/// and every parallel worker share, so parallel costs cannot drift from
-/// sequential ones. Returns the cost plus the wall-clock spent deriving
-/// the centroid's top-m list (module-b work, so sequential callers can
-/// attribute it to the cascading timer).
+/// implementation [`SegmentationContext::segment_cost`] and every pricing
+/// worker share, so batched costs cannot drift from scalar ones. Returns
+/// the cost plus the wall-clock spent deriving the centroid's top-m list
+/// (module-b work, which the stage timers attribute to cascading).
 ///
 /// For the centroid structure (Eq. 7) this is the *sum* of
 /// object↔centroid distances (the centroid's top-m list is derived on
@@ -773,22 +665,28 @@ mod tests {
         assert!(ctx.ca_calls() > 0);
     }
 
-    /// A wider fixture (40 points, above every parallel threshold) so the
-    /// parallel paths genuinely fan out.
-    fn wide_cube() -> ExplanationCube {
+    /// A wider fixture: two states whose growth hands over at the
+    /// midpoint, over `n` points — sized by the tests to sit below, at and
+    /// above each inline threshold.
+    fn wide_cube_n(n: i64) -> ExplanationCube {
         let schema = Schema::new(vec![
             Field::dimension("d"),
             Field::dimension("state"),
             Field::measure("v"),
         ])
         .unwrap();
+        let half = n / 2;
         let mut b = Relation::builder(schema);
-        for t in 0..40i64 {
-            let ny = if t < 20 { 3.0 * t as f64 } else { 60.0 };
-            let ca = if t < 20 {
+        for t in 0..n {
+            let ny = if t < half {
+                3.0 * t as f64
+            } else {
+                3.0 * half as f64
+            };
+            let ca = if t < half {
                 4.0
             } else {
-                4.0 + 5.0 * (t - 20) as f64
+                4.0 + 5.0 * (t - half) as f64
             };
             for (s, v) in [("NY", ny), ("CA", ca)] {
                 b.push_row(vec![Datum::Attr(t.into()), Datum::from(s), Datum::from(v)])
@@ -803,44 +701,113 @@ mod tests {
         .unwrap()
     }
 
+    /// The 40-point fixture, above every inline threshold.
+    fn wide_cube() -> ExplanationCube {
+        wide_cube_n(40)
+    }
+
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+    /// `(points, band)` cost-matrix shapes around the inline thresholds:
+    /// with band 2 the batch prices `points − 2` segments (15/16/17 around
+    /// `PAR_MIN_SEGMENTS`); 32/33/34 points put 31/32/33 unit objects
+    /// around `PAR_MIN_OBJECTS`.
+    const MATRIX_SHAPES: [(i64, Option<usize>); 7] = [
+        (17, Some(2)),
+        (18, Some(2)),
+        (19, Some(2)),
+        (32, None),
+        (33, None),
+        (34, None),
+        (40, None),
+    ];
+
     #[test]
     fn parallel_costs_and_calls_match_sequential_exactly() {
-        let cube = wide_cube();
-        let positions: Vec<usize> = (0..cube.n_points()).collect();
-        for metric in [VarianceMetric::Tse, VarianceMetric::AllPair] {
-            let mut seq = context(&cube, metric).with_parallel(ParallelCtx::sequential());
-            let reference = seq.compute_costs(&positions, None);
-            for threads in [2, 8] {
-                let mut par = context(&cube, metric).with_parallel(ParallelCtx::new(threads));
-                let got = par.compute_costs(&positions, None);
+        for (n, band) in MATRIX_SHAPES {
+            let cube = wide_cube_n(n);
+            let positions: Vec<usize> = (0..cube.n_points()).collect();
+            for metric in [VarianceMetric::Tse, VarianceMetric::AllPair] {
+                // The reference: a fresh context's scalar pricing, cell by
+                // cell (cells outside the band stay infinite).
+                let mut scalar = context(&cube, metric);
+                let mut reference = CostMatrix::dense(positions.len());
                 for a in 0..positions.len() {
                     for b in a + 1..positions.len() {
-                        let (r, g) = (reference.get(a, b), got.get(a, b));
-                        assert!(
-                            r == g || (r.is_infinite() && g.is_infinite()),
-                            "{metric} t={threads} cell ({a},{b}): {r} vs {g}"
-                        );
+                        if band.is_none_or(|l| b - a <= l) {
+                            reference.set(a, b, scalar.segment_cost((a, b)));
+                        }
                     }
                 }
-                assert_eq!(par.ca_calls(), seq.ca_calls(), "{metric} t={threads}");
+                for threads in THREADS {
+                    let mut par = context(&cube, metric).with_parallel(ParallelCtx::new(threads));
+                    let got = par.compute_costs(&positions, band);
+                    for a in 0..positions.len() {
+                        for b in a + 1..positions.len() {
+                            let (r, g) = (reference.get(a, b), got.get(a, b));
+                            assert_eq!(
+                                r.to_bits(),
+                                g.to_bits(),
+                                "{metric} n={n} t={threads} cell ({a},{b}): {r} vs {g}"
+                            );
+                        }
+                    }
+                    assert_eq!(
+                        par.ca_calls(),
+                        scalar.ca_calls(),
+                        "{metric} n={n} t={threads}"
+                    );
+                }
             }
         }
     }
 
+    /// One-cut schemes at cuts 2, 3, … (two multi-object segments each)
+    /// plus, for odd `p`, the whole series: `p` distinct segments in all.
+    fn schemes_with_segments(n: usize, p: usize) -> Vec<Segmentation> {
+        let mut schemes: Vec<Segmentation> = (2..2 + p / 2)
+            .map(|c| Segmentation::new(n, vec![c]).unwrap())
+            .collect();
+        if p % 2 == 1 {
+            schemes.push(Segmentation::new(n, Vec::new()).unwrap());
+        }
+        schemes
+    }
+
+    /// Scheme batches around the inline thresholds: 15/16/17 distinct
+    /// segments around `PAR_MIN_SEGMENTS`, then 31/32/33 unit objects
+    /// around `PAR_MIN_OBJECTS`, then the 40-point nested sweep.
+    fn scheme_batches() -> Vec<(ExplanationCube, Vec<Segmentation>)> {
+        let mut batches = Vec::new();
+        for p in [15, 16, 17] {
+            let cube = wide_cube();
+            let schemes = schemes_with_segments(cube.n_points(), p);
+            batches.push((cube, schemes));
+        }
+        for n in [32, 33, 34, 40] {
+            let cube = wide_cube_n(n);
+            let schemes = nested_schemes(cube.n_points(), 8);
+            batches.push((cube, schemes));
+        }
+        batches
+    }
+
     #[test]
     fn parallel_objective_batch_matches_sequential() {
-        let cube = wide_cube();
-        let n = cube.n_points();
-        let schemes: Vec<Segmentation> = (1..=8)
-            .map(|k| Segmentation::new(n, (1..k).map(|i| i * n / k).collect::<Vec<_>>()).unwrap())
-            .collect();
-        let mut seq = context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::sequential());
-        let reference = seq.objective_batch(&schemes);
-        for threads in [2, 8] {
-            let mut par =
-                context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::new(threads));
-            assert_eq!(par.objective_batch(&schemes), reference, "t={threads}");
-            assert_eq!(par.ca_calls(), seq.ca_calls(), "t={threads}");
+        for (cube, schemes) in scheme_batches() {
+            let n = cube.n_points();
+            let mut scalar = context(&cube, VarianceMetric::Tse);
+            let reference: Vec<f64> = schemes.iter().map(|s| scalar.objective(s)).collect();
+            for threads in THREADS {
+                let mut par =
+                    context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::new(threads));
+                let got = par.objective_batch(&schemes);
+                assert_eq!(got.len(), reference.len());
+                for (g, r) in got.iter().zip(&reference) {
+                    assert_eq!(g.to_bits(), r.to_bits(), "n={n} t={threads}");
+                }
+                assert_eq!(par.ca_calls(), scalar.ca_calls(), "n={n} t={threads}");
+            }
         }
     }
 
@@ -864,51 +831,54 @@ mod tests {
         let cube = wide_cube();
         let n = cube.n_points();
         let schemes = nested_schemes(n, 8);
-        let mut with_memo = context(&cube, VarianceMetric::Tse);
-        let mut without = context(&cube, VarianceMetric::Tse).without_memo();
-        let memo_costs = with_memo.objective_batch(&schemes);
-        let plain_costs = without.objective_batch(&schemes);
-        // Bit-identical objectives...
-        for (a, b) in memo_costs.iter().zip(&plain_costs) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let mut ctx = context(&cube, VarianceMetric::Tse);
+        let costs = ctx.objective_batch(&schemes);
+        // Bit-identical to pricing each scheme from scratch...
+        for (scheme, cost) in schemes.iter().zip(&costs) {
+            let fresh = context(&cube, VarianceMetric::Tse).objective(scheme);
+            assert_eq!(cost.to_bits(), fresh.to_bits());
         }
-        // ...and an identical logical workload metric...
-        assert_eq!(with_memo.ca_calls(), without.ca_calls());
+        // ...with the logical workload of unmemoized pricing: one
+        // derivation per unit object and one per segment occurrence...
+        let occurrences = schemes
+            .iter()
+            .flat_map(Segmentation::segments)
+            .filter(|seg| seg.1 - seg.0 > 1)
+            .count() as u64;
+        assert_eq!(ctx.ca_calls(), (n - 1) as u64 + occurrences);
         // ...while strictly fewer derivations were actually performed.
-        assert!(
-            with_memo.ca_derivations() < without.ca_derivations(),
-            "memo {} vs plain {}",
-            with_memo.ca_derivations(),
-            without.ca_derivations()
-        );
-        assert!(with_memo.memo_hits() > 0);
-        assert_eq!(without.memo_hits(), 0);
+        assert!(ctx.memo_hits() > 0);
+        assert_eq!(ctx.ca_calls() - ctx.ca_derivations(), ctx.memo_hits());
         // Re-pricing a segment from the sweep is a pure hit.
-        let before = with_memo.ca_derivations();
-        let direct = with_memo.segment_cost(schemes[1].segments()[0]);
-        assert_eq!(
-            direct.to_bits(),
-            with_memo.memo[&schemes[1].segments()[0]].to_bits()
-        );
-        assert_eq!(with_memo.ca_derivations(), before);
+        let before = ctx.ca_derivations();
+        let seg = schemes[1].segments()[0];
+        let direct = ctx.segment_cost(seg);
+        assert_eq!(direct.to_bits(), ctx.memo[&seg].to_bits());
+        assert_eq!(ctx.ca_derivations(), before);
     }
 
     #[test]
     fn memo_counters_are_thread_count_independent() {
-        let cube = wide_cube();
-        let schemes = nested_schemes(cube.n_points(), 8);
-        let mut seq = context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::sequential());
-        let reference = seq.objective_batch(&schemes);
-        for threads in [2, 8] {
-            let mut par =
-                context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::new(threads));
-            let got = par.objective_batch(&schemes);
-            for (a, b) in got.iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "t={threads}");
+        for (cube, schemes) in scheme_batches() {
+            let n = cube.n_points();
+            let mut scalar = context(&cube, VarianceMetric::Tse);
+            let reference: Vec<f64> = schemes.iter().map(|s| scalar.objective(s)).collect();
+            let mut counters = None;
+            for threads in THREADS {
+                let mut par =
+                    context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::new(threads));
+                let got = par.objective_batch(&schemes);
+                for (a, b) in got.iter().zip(&reference) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} t={threads}");
+                }
+                let seen = (
+                    par.ca_calls(),
+                    par.ca_derivations(),
+                    par.memo_hits(),
+                    par.memo_misses(),
+                );
+                assert_eq!(*counters.get_or_insert(seen), seen, "n={n} t={threads}");
             }
-            assert_eq!(par.ca_calls(), seq.ca_calls(), "t={threads}");
-            assert_eq!(par.memo_hits(), seq.memo_hits(), "t={threads}");
-            assert_eq!(par.memo_misses(), seq.memo_misses(), "t={threads}");
         }
     }
 
@@ -939,5 +909,23 @@ mod tests {
         assert!(timers.par_segmentation <= timers.segmentation);
         assert!(timers.par_segmentation.as_nanos() > 0);
         assert!(timers.par_cascading <= timers.cascading);
+        // Inline regions book nothing to the multi-worker timers.
+        let mut seq = context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::sequential());
+        let _ = seq.compute_costs(&positions, None);
+        assert_eq!(seq.timers().par_cascading, Duration::ZERO);
+        assert_eq!(seq.timers().par_segmentation, Duration::ZERO);
+    }
+
+    #[test]
+    fn parallel_cost_matrix_books_centroid_time_to_cascading() {
+        let cube = wide_cube();
+        let positions: Vec<usize> = (0..cube.n_points()).collect();
+        let mut ctx = context(&cube, VarianceMetric::Tse).with_parallel(ParallelCtx::new(2));
+        ctx.ensure_objects();
+        let after_objects = ctx.timers().cascading;
+        let _ = ctx.compute_costs(&positions, None);
+        // Every cell derives its centroid's top-m list: module (b) work
+        // even inside a multi-worker region.
+        assert!(ctx.timers().cascading > after_objects);
     }
 }

@@ -143,23 +143,14 @@ pub fn k_segmentation_with(costs: &CostMatrix, k_max: usize, par: &ParallelCtx) 
             }
             (best, arg)
         };
-        let n_cells = n_pos - k;
-        if par.is_sequential() || n_cells < PAR_MIN_LAYER_CELLS {
-            for j in k..n_pos {
-                let (best, arg) = cell(j, &d);
-                d[j * stride + k] = best;
-                prev[j * stride + k] = arg;
-            }
-        } else {
-            let d_read = &d;
-            let layer: Vec<(f64, u32)> = par.run_chunks(n_cells, |range| {
-                range.map(|off| cell(k + off, d_read)).collect()
-            });
-            for (off, (best, arg)) in layer.into_iter().enumerate() {
-                let j = k + off;
-                d[j * stride + k] = best;
-                prev[j * stride + k] = arg;
-            }
+        let d_read = &d;
+        let layer: Vec<(f64, u32)> = par.run_chunks(n_pos - k, PAR_MIN_LAYER_CELLS, |range| {
+            range.map(|off| cell(k + off, d_read)).collect()
+        });
+        for (off, (best, arg)) in layer.into_iter().enumerate() {
+            let j = k + off;
+            d[j * stride + k] = best;
+            prev[j * stride + k] = arg;
         }
     }
 
@@ -321,8 +312,8 @@ mod tests {
     #[test]
     fn parallel_dp_matches_sequential_costs_and_backpointers() {
         // A cost surface with near-ties so first-minimum tie-breaking is
-        // actually exercised, over enough positions to cross the parallel
-        // layer threshold.
+        // actually exercised, over enough positions that the layers run
+        // from 78 cells down to 60 — across the 64-cell inline threshold.
         let n = 80;
         let mut costs = CostMatrix::dense(n);
         for i in 0..n {
@@ -336,7 +327,7 @@ mod tests {
             }
         }
         let seq = k_segmentation(&costs, 20);
-        for threads in [2, 8] {
+        for threads in [2, 3, 8] {
             let par = k_segmentation_with(&costs, 20, &ParallelCtx::new(threads));
             for k in 1..=20 {
                 let (a, b) = (seq.total_cost(k), par.total_cost(k));

@@ -8,7 +8,7 @@
 ///
 /// (The paper prints the formula as `argmax[total_var(K) − K]`, which for
 /// a decreasing normalized curve is always K = 1; we implement the cited
-/// Kneedle semantics — see DESIGN.md §4.1.)
+/// Kneedle semantics.)
 ///
 /// Degenerate cases: a single-point curve returns its K; an all-equal
 /// curve returns the smallest K (no structure ⇒ simplest explanation).
