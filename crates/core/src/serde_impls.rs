@@ -1,6 +1,8 @@
-//! JSON serialization of the request/response layer (vendored-serde
-//! impls), so [`ExplainRequest`]s and [`ExplainResult`]s can cross a
-//! service boundary as JSON.
+//! JSON serialization of the request/response layer (vendored serde),
+//! so [`ExplainRequest`]s and [`ExplainResult`]s can cross a service
+//! boundary as JSON. Plain records declare their codec once with
+//! [`serde::record!`]; the request and the segmenter spec are written by
+//! hand, because they default through builders or tag a variant.
 //!
 //! Deserialized responses are structurally revalidated where it matters —
 //! a [`Segmentation`](tsexplain_segment::Segmentation) re-runs its
@@ -21,208 +23,32 @@ use crate::latency::{LatencyBreakdown, MemoCounters, ParallelTimings};
 use crate::request::ExplainRequest;
 use crate::result::{ExplainResult, ExplanationItem, PipelineStats, SegmentExplanation};
 use crate::segmenter::SegmenterSpec;
+use crate::session::SessionStats;
 
-/// Deserializes an optional object member, substituting `default` when the
-/// member is absent or JSON `null` — the request layer's tolerance rule.
-fn field_or<T: Deserialize>(value: &Value, key: &str, default: T) -> Result<T, Error> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(default),
-        Some(member) => T::deserialize(member).map_err(|e| e.contextualize(key)),
-    }
-}
-
-impl Serialize for ParallelTimings {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("threads", self.threads.serialize()),
-            ("cascading", self.cascading.serialize()),
-            ("segmentation", self.segmentation.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ParallelTimings {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(ParallelTimings {
-            threads: value.field("threads")?,
-            cascading: value.field("cascading")?,
-            segmentation: value.field("segmentation")?,
-        })
-    }
-}
-
-impl Serialize for MemoCounters {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("hits", self.hits.serialize()),
-            ("misses", self.misses.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for MemoCounters {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(MemoCounters {
-            hits: value.field("hits")?,
-            misses: value.field("misses")?,
-        })
-    }
-}
-
-impl Serialize for LatencyBreakdown {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("precompute", self.precompute.serialize()),
-            ("cascading", self.cascading.serialize()),
-            ("segmentation", self.segmentation.serialize()),
-            ("parallel", self.parallel.serialize()),
-            ("memo", self.memo.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for LatencyBreakdown {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(LatencyBreakdown {
-            precompute: value.field("precompute")?,
-            cascading: value.field("cascading")?,
-            segmentation: value.field("segmentation")?,
-            // Results predating the parallel layer / the memo carry no
-            // such blocks; defaults keep old payloads decodable.
-            parallel: field_or(value, "parallel", ParallelTimings::default())?,
-            memo: field_or(value, "memo", MemoCounters::default())?,
-        })
-    }
-}
-
-impl Serialize for PipelineStats {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("epsilon", self.epsilon.serialize()),
-            ("filtered_epsilon", self.filtered_epsilon.serialize()),
-            ("n_points", self.n_points.serialize()),
-            ("ca_calls", self.ca_calls.serialize()),
-            ("candidate_positions", self.candidate_positions.serialize()),
-            ("cube_from_cache", self.cube_from_cache.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for PipelineStats {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(PipelineStats {
-            epsilon: value.field("epsilon")?,
-            filtered_epsilon: value.field("filtered_epsilon")?,
-            n_points: value.field("n_points")?,
-            ca_calls: value.field("ca_calls")?,
-            candidate_positions: value.field("candidate_positions")?,
-            cube_from_cache: value.field("cube_from_cache")?,
-        })
-    }
-}
-
-impl Serialize for ExplanationItem {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("label", self.label.serialize()),
-            ("gamma", self.gamma.serialize()),
-            ("effect", self.effect.serialize()),
-            ("series", self.series.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ExplanationItem {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(ExplanationItem {
-            label: value.field("label")?,
-            gamma: value.field("gamma")?,
-            effect: value.field("effect")?,
-            series: value.field("series")?,
-        })
-    }
-}
-
-impl Serialize for SegmentExplanation {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("start", self.start.serialize()),
-            ("end", self.end.serialize()),
-            ("start_time", self.start_time.serialize()),
-            ("end_time", self.end_time.serialize()),
-            ("explanations", self.explanations.serialize()),
-            ("variance", self.variance.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for SegmentExplanation {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(SegmentExplanation {
-            start: value.field("start")?,
-            end: value.field("end")?,
-            start_time: value.field("start_time")?,
-            end_time: value.field("end_time")?,
-            explanations: value.field("explanations")?,
-            variance: value.field("variance")?,
-        })
-    }
-}
-
-impl Serialize for ExplainResult {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("strategy", self.strategy.serialize()),
-            ("segmentation", self.segmentation.serialize()),
-            ("chosen_k", self.chosen_k.serialize()),
-            ("k_variance_curve", self.k_variance_curve.serialize()),
-            ("total_variance", self.total_variance.serialize()),
-            ("segments", self.segments.serialize()),
-            ("timestamps", self.timestamps.serialize()),
-            ("aggregate", self.aggregate.serialize()),
-            ("latency", self.latency.serialize()),
-            ("stats", self.stats.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ExplainResult {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(ExplainResult {
-            // Results predating the strategy field default to the DP.
-            strategy: field_or(value, "strategy", "dp".to_string())?,
-            segmentation: value.field("segmentation")?,
-            chosen_k: value.field("chosen_k")?,
-            k_variance_curve: value.field("k_variance_curve")?,
-            total_variance: value.field("total_variance")?,
-            segments: value.field("segments")?,
-            timestamps: value.field("timestamps")?,
-            aggregate: value.field("aggregate")?,
-            latency: value.field("latency")?,
-            stats: value.field("stats")?,
-        })
-    }
-}
-
-impl Serialize for Optimizations {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("filter_ratio", self.filter_ratio.serialize()),
-            ("guess_and_verify", self.guess_and_verify.serialize()),
-            ("sketching", self.sketching.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for Optimizations {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(Optimizations {
-            filter_ratio: value.field("filter_ratio")?,
-            guess_and_verify: value.field("guess_and_verify")?,
-            sketching: value.field("sketching")?,
-        })
-    }
-}
+serde::record! { ParallelTimings { threads, cascading, segmentation } }
+serde::record! { MemoCounters { hits, misses } }
+// Results predating the parallel layer / the memo carry no such blocks;
+// defaults keep old payloads decodable.
+serde::record! { LatencyBreakdown {
+    precompute, cascading, segmentation,
+    parallel = ParallelTimings::default(), memo = MemoCounters::default(),
+} }
+serde::record! { PipelineStats {
+    epsilon, filtered_epsilon, n_points, ca_calls, candidate_positions, cube_from_cache,
+} }
+serde::record! { ExplanationItem { label, gamma, effect, series } }
+serde::record! { SegmentExplanation { start, end, start_time, end_time, explanations, variance } }
+// Results predating the strategy field default to the DP.
+serde::record! { ExplainResult {
+    strategy = "dp".to_string(),
+    segmentation, chosen_k, k_variance_curve, total_variance, segments, timestamps, aggregate,
+    latency, stats,
+} }
+serde::record! { Optimizations { filter_ratio, guess_and_verify, sketching } }
+serde::record! { SessionStats {
+    requests, cubes_built, cube_cache_hits, cube_refreshes, rows_appended, rebuilds, cube_evictions,
+    cube_demotions, cube_rehydrations,
+} }
 
 impl Serialize for SegmenterSpec {
     fn serialize(&self) -> Value {
@@ -281,37 +107,32 @@ impl Deserialize for ExplainRequest {
         let explain_by: Vec<String> = value.field("explain_by")?;
         let defaults = ExplainRequest::new(Vec::<String>::new());
         let mut request = ExplainRequest::new(explain_by)
-            .with_top_m(field_or(value, "top_m", defaults.top_m())?)
-            .with_max_order(field_or(value, "max_order", defaults.max_order())?)
-            .with_diff_metric(field_or(value, "diff_metric", defaults.diff_metric())?)
-            .with_variance_metric(field_or(
-                value,
-                "variance_metric",
-                defaults.variance_metric(),
-            )?)
-            .with_optimizations(field_or(value, "optimizations", defaults.optimizations())?)
-            .with_smoothing(field_or(
-                value,
-                "smoothing_window",
-                defaults.smoothing_window(),
-            )?)
-            .with_segmenter(field_or(value, "segmenter", defaults.segmenter())?);
-        if let Some(threads) = field_or::<Option<usize>>(value, "threads", None)? {
+            .with_top_m(value.field_or("top_m", defaults.top_m())?)
+            .with_max_order(value.field_or("max_order", defaults.max_order())?)
+            .with_diff_metric(value.field_or("diff_metric", defaults.diff_metric())?)
+            .with_variance_metric(value.field_or("variance_metric", defaults.variance_metric())?)
+            .with_optimizations(value.field_or("optimizations", defaults.optimizations())?)
+            .with_smoothing(value.field_or("smoothing_window", defaults.smoothing_window())?)
+            .with_segmenter(value.field_or("segmenter", defaults.segmenter())?);
+        if let Some(threads) = value.field_or::<Option<usize>>("threads", None)? {
             request = request.with_threads(threads);
         }
         // The client's requested time budget; the serving layer clamps it
         // to the server cap when minting the deadline. The runtime cancel
         // token is deliberately NOT a wire member.
-        if let Some(timeout_ms) = field_or::<Option<u64>>(value, "timeout_ms", None)? {
+        if let Some(timeout_ms) = value.field_or::<Option<u64>>("timeout_ms", None)? {
             request = request.with_timeout_ms(timeout_ms);
         }
-        request = match field_or(value, "k", defaults.k_selection())? {
+        request = match value.field_or("k", defaults.k_selection())? {
             KSelection::Auto { max_k } => request.with_max_k(max_k),
             KSelection::Fixed(k) => request.with_fixed_k(k),
         };
-        if let Some((start, end)) = field_or::<
-            Option<(tsexplain_relation::AttrValue, tsexplain_relation::AttrValue)>,
-        >(value, "time_range", None)?
+        if let Some((start, end)) =
+            value
+                .field_or::<Option<(tsexplain_relation::AttrValue, tsexplain_relation::AttrValue)>>(
+                    "time_range",
+                    None,
+                )?
         {
             request = request.with_time_range(start, end);
         }
@@ -325,7 +146,7 @@ mod tests {
     use std::time::Duration;
     use tsexplain_diff::{DiffMetric, Effect};
     use tsexplain_relation::AttrValue;
-    use tsexplain_segment::Segmentation;
+    use tsexplain_segment::{Segmentation, SketchConfig};
 
     fn sample_result() -> ExplainResult {
         ExplainResult {
@@ -489,28 +310,151 @@ mod tests {
 
     #[test]
     fn results_without_a_strategy_field_default_to_dp() {
-        let mut value = serde_json::to_value(&sample_result());
-        if let Value::Object(map) = &mut value {
-            map.remove("strategy");
+        // Absent and `null` alike.
+        for member in [None, Some(Value::Null)] {
+            let mut value = serde_json::to_value(&sample_result());
+            if let Value::Object(map) = &mut value {
+                map.remove("strategy");
+                map.extend(member.map(|v| ("strategy".to_string(), v)));
+            }
+            let back = ExplainResult::deserialize(&value).unwrap();
+            assert_eq!(back.strategy, "dp");
         }
-        let back = ExplainResult::deserialize(&value).unwrap();
-        assert_eq!(back.strategy, "dp");
     }
 
     #[test]
     fn results_without_a_memo_block_default_to_zero_counters() {
-        let mut value = serde_json::to_value(&sample_result());
-        if let Value::Object(map) = &mut value {
-            let mut latency = match map.get("latency") {
-                Some(Value::Object(l)) => l.clone(),
-                other => panic!("latency block missing: {other:?}"),
-            };
-            latency.remove("memo");
-            map.insert("latency".into(), Value::Object(latency));
+        // Absent and `null` alike, and the same for the parallel block.
+        for member in [None, Some(Value::Null)] {
+            let mut value = serde_json::to_value(&sample_result());
+            if let Value::Object(map) = &mut value {
+                let mut latency = match map.get("latency") {
+                    Some(Value::Object(l)) => l.clone(),
+                    other => panic!("latency block missing: {other:?}"),
+                };
+                for key in ["memo", "parallel"] {
+                    latency.remove(key);
+                    latency.extend(member.clone().map(|v| (key.to_string(), v)));
+                }
+                map.insert("latency".into(), Value::Object(latency));
+            }
+            let back = ExplainResult::deserialize(&value).unwrap();
+            assert_eq!(back.latency.memo.hits, 0);
+            assert_eq!(back.latency.memo.misses, 0);
+            assert_eq!(back.latency.parallel.threads, 0);
+            assert_eq!(back.latency.parallel.cascading, Duration::ZERO);
+            assert_eq!(back.latency.precompute, Duration::from_micros(1500));
         }
-        let back = ExplainResult::deserialize(&value).unwrap();
-        assert_eq!(back.latency.memo.hits, 0);
-        assert_eq!(back.latency.memo.misses, 0);
+    }
+
+    fn json<T: Serialize>(value: &T) -> String {
+        serde_json::to_string(value).unwrap()
+    }
+
+    fn decode_err<T: Deserialize>(text: &str) -> String {
+        match T::deserialize(&serde_json::parse(text).unwrap()) {
+            Ok(_) => "decoded".into(),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// Pins the exact wire bytes of every plain record type, fully
+    /// populated, and the error an empty object gets: the first required
+    /// member in declaration order. The goldens strip `latency`, so this
+    /// is what holds those bytes still.
+    #[test]
+    fn record_wire_bytes_are_pinned() {
+        let result = sample_result();
+        let segment = &result.segments[0];
+        let sketch = SketchConfig {
+            max_len_fraction: 0.125,
+            max_len_cap: 7,
+            size_factor: 2.5,
+        };
+        let optimizations = Optimizations {
+            filter_ratio: Some(0.001),
+            guess_and_verify: Some(30),
+            sketching: Some(sketch),
+        };
+        let encoded = [
+            (
+                json(&result.latency.parallel),
+                r#"{"cascading":{"nanos":200000,"secs":0},"segmentation":{"nanos":10000,"secs":0},"threads":4}"#,
+            ),
+            (json(&result.latency.memo), r#"{"hits":21,"misses":190}"#),
+            (
+                json(&result.latency),
+                r#"{"cascading":{"nanos":250000,"secs":0},"memo":{"hits":21,"misses":190},"parallel":{"cascading":{"nanos":200000,"secs":0},"segmentation":{"nanos":10000,"secs":0},"threads":4},"precompute":{"nanos":1500000,"secs":0},"segmentation":{"nanos":40000,"secs":0}}"#,
+            ),
+            (
+                json(&result.stats),
+                r#"{"ca_calls":9,"candidate_positions":5,"cube_from_cache":true,"epsilon":3,"filtered_epsilon":2,"n_points":5}"#,
+            ),
+            (
+                json(&segment.explanations[0]),
+                r#"{"effect":"+","gamma":12.5,"label":"state=NY","series":[0,5,12.5]}"#,
+            ),
+            (
+                json(segment),
+                r#"{"end":2,"end_time":"d2","explanations":[{"effect":"+","gamma":12.5,"label":"state=NY","series":[0,5,12.5]}],"start":0,"start_time":"d0","variance":0.125}"#,
+            ),
+            (
+                json(&result),
+                r#"{"aggregate":[0,5,12.5,12.5,12.5],"chosen_k":2,"k_variance_curve":[[1,3],[2,1]],"latency":{"cascading":{"nanos":250000,"secs":0},"memo":{"hits":21,"misses":190},"parallel":{"cascading":{"nanos":200000,"secs":0},"segmentation":{"nanos":10000,"secs":0},"threads":4},"precompute":{"nanos":1500000,"secs":0},"segmentation":{"nanos":40000,"secs":0}},"segmentation":{"cuts":[2],"n_points":5},"segments":[{"end":2,"end_time":"d2","explanations":[{"effect":"+","gamma":12.5,"label":"state=NY","series":[0,5,12.5]}],"start":0,"start_time":"d0","variance":0.125}],"stats":{"ca_calls":9,"candidate_positions":5,"cube_from_cache":true,"epsilon":3,"filtered_epsilon":2,"n_points":5},"strategy":"dp","timestamps":["d0","d1","d2","d3","d4"],"total_variance":1}"#,
+            ),
+            (
+                json(&sketch),
+                r#"{"max_len_cap":7,"max_len_fraction":0.125,"size_factor":2.5}"#,
+            ),
+            (
+                json(&optimizations),
+                r#"{"filter_ratio":0.001,"guess_and_verify":30,"sketching":{"max_len_cap":7,"max_len_fraction":0.125,"size_factor":2.5}}"#,
+            ),
+            (
+                json(&Optimizations::none()),
+                r#"{"filter_ratio":null,"guess_and_verify":null,"sketching":null}"#,
+            ),
+        ];
+        for (actual, expected) in encoded {
+            assert_eq!(actual, expected);
+        }
+
+        let missing = [
+            (
+                decode_err::<ParallelTimings>("{}"),
+                "missing field `threads`",
+            ),
+            (decode_err::<MemoCounters>("{}"), "missing field `hits`"),
+            (
+                decode_err::<LatencyBreakdown>("{}"),
+                "missing field `precompute`",
+            ),
+            (decode_err::<PipelineStats>("{}"), "missing field `epsilon`"),
+            (decode_err::<ExplanationItem>("{}"), "missing field `label`"),
+            (
+                decode_err::<SegmentExplanation>("{}"),
+                "missing field `start`",
+            ),
+            (
+                decode_err::<ExplainResult>("{}"),
+                "missing field `segmentation`",
+            ),
+            (
+                decode_err::<SketchConfig>("{}"),
+                "missing field `max_len_fraction`",
+            ),
+            (
+                decode_err::<Optimizations>("{}"),
+                "missing field `filter_ratio`",
+            ),
+            (
+                decode_err::<ExplainResult>(&json(&result).replace("\"precompute\"", "\"x\"")),
+                "in field `latency`: missing field `precompute`",
+            ),
+        ];
+        for (actual, expected) in missing {
+            assert_eq!(actual, expected);
+        }
     }
 
     #[test]

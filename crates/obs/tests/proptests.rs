@@ -37,7 +37,8 @@ proptest! {
     }
 
     /// The estimate never under-reports the exact sorted-oracle value,
-    /// and never exceeds the upper bound of the exact value's bucket.
+    /// and never exceeds the observed max or the upper bound of the exact
+    /// value's bucket.
     #[test]
     fn quantile_bounds_the_exact_oracle(
         mut samples in proptest::collection::vec(1u64..80_000_000_000, 1..200),
@@ -50,6 +51,7 @@ proptest! {
         let exact = samples[rank - 1];
         let est = snap.quantile_nanos(q);
         prop_assert!(est >= exact, "estimate {est} under exact {exact}");
+        prop_assert!(est <= snap.max_nanos, "estimate {est} above the max {}", snap.max_nanos);
         let upper = match bucket_index(exact) {
             Some(i) => BUCKET_BOUNDS_NANOS[i],
             None => snap.max_nanos,

@@ -1,4 +1,4 @@
-//! JSON serialization for segmentation types (vendored-serde impls).
+//! JSON serialization for segmentation types (vendored serde).
 //!
 //! [`Segmentation`] deserialization funnels through [`Segmentation::new`],
 //! so a scheme arriving over the wire is re-validated (cuts strictly
@@ -75,25 +75,7 @@ impl Deserialize for VarianceMetric {
     }
 }
 
-impl Serialize for SketchConfig {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("max_len_fraction", self.max_len_fraction.serialize()),
-            ("max_len_cap", self.max_len_cap.serialize()),
-            ("size_factor", self.size_factor.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for SketchConfig {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(SketchConfig {
-            max_len_fraction: value.field("max_len_fraction")?,
-            max_len_cap: value.field("max_len_cap")?,
-            size_factor: value.field("size_factor")?,
-        })
-    }
-}
+serde::record! { SketchConfig { max_len_fraction, max_len_cap, size_factor } }
 
 #[cfg(test)]
 mod tests {

@@ -386,7 +386,7 @@ impl ServerShared {
                     ("cached_cubes", r.cached_cubes.serialize()),
                     ("cache_bytes", r.cache_bytes.serialize()),
                     ("memory_budget", r.memory_budget.serialize()),
-                    ("totals", crate::wire::session_stats_value(&r.totals)),
+                    ("totals", r.totals.serialize()),
                 ]),
             ),
         ]);

@@ -13,10 +13,8 @@
 //! or any value in the wrong slot — is rejected row-by-row with the
 //! offending row index in the message.
 
-use serde::{Deserialize, Error, Serialize, Value};
-use tsexplain::{
-    AggQuery, DatasetSnapshot, Datum, ExplainRequest, ExplainResult, Schema, SessionStats,
-};
+use serde::{Serialize, Value};
+use tsexplain::{AggQuery, DatasetSnapshot, Datum, ExplainRequest, ExplainResult, Schema};
 use tsexplain_relation::{decode_wire_row, encode_wire_row};
 
 use crate::error::ApiError;
@@ -28,33 +26,12 @@ pub struct RegisterDataset {
     pub schema: Schema,
     /// The "what happened" aggregation query.
     pub query: AggQuery,
-    /// Initial rows in schema order (may be empty for streaming cold
-    /// starts).
+    /// Initial rows in schema order. Absent, `null` or empty registers
+    /// no rows (a streaming cold start).
     pub rows: Vec<Value>,
 }
 
-impl Deserialize for RegisterDataset {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(RegisterDataset {
-            schema: value.field("schema")?,
-            query: value.field("query")?,
-            rows: match value.get("rows") {
-                None => Vec::new(),
-                Some(rows) => Vec::deserialize(rows).map_err(|e| e.contextualize("rows"))?,
-            },
-        })
-    }
-}
-
-impl Serialize for RegisterDataset {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("schema", self.schema.serialize()),
-            ("query", self.query.serialize()),
-            ("rows", self.rows.serialize()),
-        ])
-    }
-}
+serde::record! { RegisterDataset { schema, query, rows = Vec::new() } }
 
 /// `POST /datasets` response body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,25 +44,7 @@ pub struct DatasetCreated {
     pub n_points: usize,
 }
 
-impl Serialize for DatasetCreated {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("dataset_id", self.dataset_id.serialize()),
-            ("n_rows", self.n_rows.serialize()),
-            ("n_points", self.n_points.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for DatasetCreated {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(DatasetCreated {
-            dataset_id: value.field("dataset_id")?,
-            n_rows: value.field("n_rows")?,
-            n_points: value.field("n_points")?,
-        })
-    }
-}
+serde::record! { DatasetCreated { dataset_id, n_rows, n_points } }
 
 /// `POST /datasets/{id}/rows` request body.
 #[derive(Debug)]
@@ -94,19 +53,7 @@ pub struct AppendRowsBody {
     pub rows: Vec<Value>,
 }
 
-impl Deserialize for AppendRowsBody {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(AppendRowsBody {
-            rows: value.field("rows")?,
-        })
-    }
-}
-
-impl Serialize for AppendRowsBody {
-    fn serialize(&self) -> Value {
-        Value::object([("rows", self.rows.serialize())])
-    }
-}
+serde::record! { AppendRowsBody { rows } }
 
 /// `POST /datasets/{id}/rows` response body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,23 +64,7 @@ pub struct AppendAck {
     pub n_points: usize,
 }
 
-impl Serialize for AppendAck {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("appended", self.appended.serialize()),
-            ("n_points", self.n_points.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for AppendAck {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(AppendAck {
-            appended: value.field("appended")?,
-            n_points: value.field("n_points")?,
-        })
-    }
-}
+serde::record! { AppendAck { appended, n_points } }
 
 /// `POST /datasets/{id}/compare` request body: the base request to fan
 /// out across every segmentation strategy, plus an optional shared window
@@ -152,26 +83,7 @@ pub struct CompareBody {
     pub window: Option<usize>,
 }
 
-impl Deserialize for CompareBody {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(CompareBody {
-            request: value.field("request")?,
-            window: match value.get("window") {
-                None | Some(Value::Null) => None,
-                Some(w) => Some(usize::deserialize(w).map_err(|e| e.contextualize("window"))?),
-            },
-        })
-    }
-}
-
-impl Serialize for CompareBody {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("request", self.request.serialize()),
-            ("window", self.window.serialize()),
-        ])
-    }
-}
+serde::record! { CompareBody { request, window = None } }
 
 /// One strategy's row in a `/compare` response: the full result plus the
 /// cross-strategy evaluation metrics.
@@ -190,30 +102,7 @@ pub struct StrategyComparison {
     pub result: ExplainResult,
 }
 
-impl Serialize for StrategyComparison {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("strategy", self.strategy.serialize()),
-            (
-                "distance_percent_vs_dp",
-                self.distance_percent_vs_dp.serialize(),
-            ),
-            ("objective_rank", self.objective_rank.serialize()),
-            ("result", self.result.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for StrategyComparison {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(StrategyComparison {
-            strategy: value.field("strategy")?,
-            distance_percent_vs_dp: value.field("distance_percent_vs_dp")?,
-            objective_rank: value.field("objective_rank")?,
-            result: value.field("result")?,
-        })
-    }
-}
+serde::record! { StrategyComparison { strategy, distance_percent_vs_dp, objective_rank, result } }
 
 /// `POST /datasets/{id}/compare` response body.
 #[derive(Debug)]
@@ -226,25 +115,7 @@ pub struct CompareResponse {
     pub strategies: Vec<StrategyComparison>,
 }
 
-impl Serialize for CompareResponse {
-    fn serialize(&self) -> Value {
-        Value::object([
-            ("reference", self.reference.serialize()),
-            ("window", self.window.serialize()),
-            ("strategies", self.strategies.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for CompareResponse {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(CompareResponse {
-            reference: value.field("reference")?,
-            window: value.field("window")?,
-            strategies: value.field("strategies")?,
-        })
-    }
-}
+serde::record! { CompareResponse { reference, window, strategies } }
 
 /// Serializes one tenant's stats snapshot (`GET /datasets/{id}/stats`).
 pub fn stats_body(snapshot: &DatasetSnapshot) -> Value {
@@ -252,22 +123,7 @@ pub fn stats_body(snapshot: &DatasetSnapshot) -> Value {
         ("n_points", snapshot.n_points.serialize()),
         ("cached_cubes", snapshot.cached_cubes.serialize()),
         ("cache_bytes", snapshot.cache_bytes.serialize()),
-        ("session", session_stats_value(&snapshot.stats)),
-    ])
-}
-
-/// Serializes session counters (shared by stats and metrics bodies).
-pub fn session_stats_value(stats: &SessionStats) -> Value {
-    Value::object([
-        ("requests", stats.requests.serialize()),
-        ("cubes_built", stats.cubes_built.serialize()),
-        ("cube_cache_hits", stats.cube_cache_hits.serialize()),
-        ("cube_refreshes", stats.cube_refreshes.serialize()),
-        ("rows_appended", stats.rows_appended.serialize()),
-        ("rebuilds", stats.rebuilds.serialize()),
-        ("cube_evictions", stats.cube_evictions.serialize()),
-        ("cube_demotions", stats.cube_demotions.serialize()),
-        ("cube_rehydrations", stats.cube_rehydrations.serialize()),
+        ("session", snapshot.stats.serialize()),
     ])
 }
 
@@ -291,7 +147,8 @@ pub fn encode_rows(rows: &[Vec<Datum>]) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsexplain::Field;
+    use serde::Deserialize;
+    use tsexplain::{Field, SessionStats};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -381,6 +238,179 @@ mod tests {
         ]);
         let back = RegisterDataset::deserialize(&minimal).unwrap();
         assert!(back.rows.is_empty());
+        // So may an explicit `null`: one tolerance rule for every
+        // optional member.
+        let null_rows = Value::object([
+            ("schema", body.schema.serialize()),
+            ("query", body.query.serialize()),
+            ("rows", Value::Null),
+        ]);
+        let back = RegisterDataset::deserialize(&null_rows).unwrap();
+        assert!(back.rows.is_empty());
+        // A present `rows` must still be an array.
+        let bad_rows = Value::object([
+            ("schema", body.schema.serialize()),
+            ("query", body.query.serialize()),
+            ("rows", Value::Bool(true)),
+        ]);
+        assert_eq!(
+            RegisterDataset::deserialize(&bad_rows)
+                .unwrap_err()
+                .to_string(),
+            "in field `rows`: expected array, got boolean"
+        );
+    }
+
+    /// One explain result as it travels inside a `/compare` response.
+    const RESULT: &str = r#"{"aggregate":[0,5],"chosen_k":1,"k_variance_curve":[[1,2.5]],"latency":{"cascading":{"nanos":2,"secs":0},"memo":{"hits":3,"misses":4},"parallel":{"cascading":{"nanos":5,"secs":0},"segmentation":{"nanos":6,"secs":0},"threads":2},"precompute":{"nanos":1,"secs":1},"segmentation":{"nanos":7,"secs":0}},"segmentation":{"cuts":[],"n_points":2},"segments":[{"end":1,"end_time":"d1","explanations":[{"effect":"-","gamma":0.5,"label":"state=CA","series":[0,5]}],"start":0,"start_time":"d0","variance":0}],"stats":{"ca_calls":1,"candidate_positions":2,"cube_from_cache":false,"epsilon":2,"filtered_epsilon":1,"n_points":2},"strategy":"bottom_up","timestamps":["d0","d1"],"total_variance":2.5}"#;
+
+    fn json<T: Serialize>(value: &T) -> String {
+        serde_json::to_string(value).unwrap()
+    }
+
+    fn decode_err<T: Deserialize>(text: &str) -> String {
+        match T::deserialize(&serde_json::parse(text).unwrap()) {
+            Ok(_) => "decoded".into(),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// Pins the exact wire bytes of every envelope, fully populated, and
+    /// the error an empty object gets: the first required member in
+    /// declaration order.
+    #[test]
+    fn envelope_wire_bytes_are_pinned() {
+        let result: ExplainResult = serde_json::from_str(RESULT).unwrap();
+        assert_eq!(json(&result), RESULT);
+        let comparison = StrategyComparison {
+            strategy: "bottom_up".into(),
+            distance_percent_vs_dp: 12.5,
+            objective_rank: 1.5,
+            result,
+        };
+        let stats = SessionStats {
+            requests: 1,
+            cubes_built: 2,
+            cube_cache_hits: 3,
+            cube_refreshes: 4,
+            rows_appended: 5,
+            rebuilds: 6,
+            cube_evictions: 7,
+            cube_demotions: 8,
+            cube_rehydrations: 9,
+        };
+        let snapshot = DatasetSnapshot {
+            stats,
+            n_points: 10,
+            cached_cubes: 11,
+            cache_bytes: 12,
+        };
+        let encoded = [
+            (
+                json(&RegisterDataset {
+                    schema: schema(),
+                    query: AggQuery::sum("t", "v"),
+                    rows: encode_rows(&[vec![
+                        Datum::Attr(0.into()),
+                        Datum::Attr("NY".into()),
+                        Datum::Num(1.5),
+                    ]]),
+                }),
+                r#"{"query":{"agg":"sum","measure":{"column":"v","op":"column"},"time_attr":"t"},"rows":[[0,"NY",1.5]],"schema":[{"kind":"dimension","name":"t"},{"kind":"dimension","name":"state"},{"kind":"measure","name":"v"}]}"#,
+            ),
+            (
+                json(&DatasetCreated {
+                    dataset_id: 7,
+                    n_rows: 100,
+                    n_points: 50,
+                }),
+                r#"{"dataset_id":7,"n_points":50,"n_rows":100}"#,
+            ),
+            (
+                json(&AppendRowsBody {
+                    rows: encode_rows(&[vec![
+                        Datum::Attr("d1".into()),
+                        Datum::Attr("CA".into()),
+                        Datum::Num(-2.0),
+                    ]]),
+                }),
+                r#"{"rows":[["d1","CA",-2]]}"#,
+            ),
+            (
+                json(&AppendAck {
+                    appended: 42,
+                    n_points: 9,
+                }),
+                r#"{"appended":42,"n_points":9}"#,
+            ),
+            (
+                json(&CompareBody {
+                    request: ExplainRequest::new(["state"]).with_fixed_k(3),
+                    window: Some(6),
+                }),
+                r#"{"request":{"diff_metric":"absolute-change","explain_by":["state"],"k":{"k":3,"mode":"fixed"},"max_order":3,"optimizations":{"filter_ratio":0.001,"guess_and_verify":30,"sketching":{"max_len_cap":20,"max_len_fraction":0.05,"size_factor":3}},"segmenter":{"strategy":"dp"},"smoothing_window":1,"threads":null,"time_range":null,"timeout_ms":null,"top_m":3,"variance_metric":"tse"},"window":6}"#,
+            ),
+            (
+                json(&CompareResponse {
+                    reference: "dp".into(),
+                    window: 6,
+                    strategies: vec![comparison],
+                }),
+                r#"{"reference":"dp","strategies":[{"distance_percent_vs_dp":12.5,"objective_rank":1.5,"result":{"aggregate":[0,5],"chosen_k":1,"k_variance_curve":[[1,2.5]],"latency":{"cascading":{"nanos":2,"secs":0},"memo":{"hits":3,"misses":4},"parallel":{"cascading":{"nanos":5,"secs":0},"segmentation":{"nanos":6,"secs":0},"threads":2},"precompute":{"nanos":1,"secs":1},"segmentation":{"nanos":7,"secs":0}},"segmentation":{"cuts":[],"n_points":2},"segments":[{"end":1,"end_time":"d1","explanations":[{"effect":"-","gamma":0.5,"label":"state=CA","series":[0,5]}],"start":0,"start_time":"d0","variance":0}],"stats":{"ca_calls":1,"candidate_positions":2,"cube_from_cache":false,"epsilon":2,"filtered_epsilon":1,"n_points":2},"strategy":"bottom_up","timestamps":["d0","d1"],"total_variance":2.5},"strategy":"bottom_up"}],"window":6}"#,
+            ),
+            (
+                json(&stats_body(&snapshot)),
+                r#"{"cache_bytes":12,"cached_cubes":11,"n_points":10,"session":{"cube_cache_hits":3,"cube_demotions":8,"cube_evictions":7,"cube_refreshes":4,"cube_rehydrations":9,"cubes_built":2,"rebuilds":6,"requests":1,"rows_appended":5}}"#,
+            ),
+        ];
+        for (actual, expected) in encoded {
+            assert_eq!(actual, expected);
+        }
+
+        let missing = [
+            (
+                decode_err::<RegisterDataset>("{}"),
+                "missing field `schema`",
+            ),
+            (
+                decode_err::<DatasetCreated>("{}"),
+                "missing field `dataset_id`",
+            ),
+            (decode_err::<AppendRowsBody>("{}"), "missing field `rows`"),
+            (decode_err::<AppendAck>("{}"), "missing field `appended`"),
+            (decode_err::<CompareBody>("{}"), "missing field `request`"),
+            (
+                decode_err::<StrategyComparison>("{}"),
+                "missing field `strategy`",
+            ),
+            (
+                decode_err::<CompareResponse>("{}"),
+                "missing field `reference`",
+            ),
+        ];
+        for (actual, expected) in missing {
+            assert_eq!(actual, expected);
+        }
+    }
+
+    /// An absent or `null` compare window means "auto-size".
+    #[test]
+    fn compare_window_defaults_on_absent_and_null() {
+        for text in [
+            r#"{"request":{"explain_by":["state"]}}"#,
+            r#"{"request":{"explain_by":["state"]},"window":null}"#,
+        ] {
+            let body: CompareBody = serde_json::from_str(text).unwrap();
+            assert_eq!(body.window, None);
+            assert_eq!(body.request, ExplainRequest::new(["state"]));
+        }
+        let body: CompareBody =
+            serde_json::from_str(r#"{"request":{"explain_by":["state"]},"window":8}"#).unwrap();
+        assert_eq!(body.window, Some(8));
+        assert_eq!(
+            decode_err::<CompareBody>(r#"{"request":{"explain_by":["state"]},"window":-1}"#),
+            "in field `window`: integer -1 out of range for usize"
+        );
     }
 
     #[test]

@@ -648,6 +648,40 @@ fn errors_map_to_structured_statuses() {
     handle.shutdown();
 }
 
+/// A body of ~200 KB of `[` once overflowed a worker's stack and aborted
+/// the whole process. It is now an ordinary malformed body: a well-formed
+/// 400 with a request id, and the server keeps answering.
+#[test]
+fn deeply_nested_json_is_a_400_not_a_crash() {
+    let mut handle = Server::bind(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::new(handle.local_addr());
+    let body = "[".repeat(200_000);
+    let response = client
+        .raw("POST", "/datasets", Some(&body), &[])
+        .expect("the server answers the deep body");
+    assert_eq!(response.status, 400);
+    assert!(
+        response
+            .headers
+            .iter()
+            .any(|(n, v)| n.eq_ignore_ascii_case("x-request-id") && !v.is_empty()),
+        "the 400 must carry a request id: {:?}",
+        response.headers
+    );
+    let text = String::from_utf8_lossy(&response.body);
+    assert!(text.contains("nesting deeper than 128"), "{text}");
+
+    let mut fresh = Client::new(handle.local_addr());
+    let health = fresh.raw("GET", "/healthz", None, &[]).unwrap();
+    assert_eq!(health.status, 200);
+    drop((client, fresh));
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_count_requests_and_cache_state() {
     let mut handle = Server::bind(ServerConfig {
