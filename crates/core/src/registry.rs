@@ -7,9 +7,22 @@
 //! `Mutex<HashMap<…>>` lacks:
 //!
 //! * **per-tenant interior locking** — the map itself is behind an
-//!   `RwLock` held only long enough to clone a session handle, and each
-//!   session sits behind its own `Mutex`. One tenant's cube rebuild never
-//!   blocks another tenant's cache hit.
+//!   `RwLock` held only long enough to clone a tenant handle, and each
+//!   session sits behind its own `Mutex` (the *tenant lock*). One tenant's
+//!   cube rebuild never blocks another tenant's cache hit.
+//! * **a tenant lock that never covers pipeline work** — the tenant lock is
+//!   held only to validate a request, acquire its cube (cache hit, refresh
+//!   after appends, rehydration or cold build) and slice it to the
+//!   requested time window ([`SessionRegistry::prepare`]); to apply and log
+//!   a row batch; and to read counters or export rows for a checkpoint.
+//!   Every explain — `/explain` and each `/compare` strategy alike — then
+//!   runs Cascading Analysts and K-Segmentation on the returned
+//!   [`PreparedCube`], an immutable `Arc` snapshot, with no lock held. So
+//!   appends, stats, deletions and the checkpointer never queue behind
+//!   segmentation, two explains of one tenant overlap, and a panic inside
+//!   the pipeline cannot poison the tenant. Cold cube builds still run
+//!   under the tenant lock. A tenant's schema is fixed at registration and
+//!   is read without the lock (row decoding needs it before an append).
 //! * **a global memory budget** — every session shares the registry's LRU
 //!   clock, so cube recency is comparable *across* tenants. After any
 //!   explain or append the registry sums the per-session cache estimates
@@ -24,9 +37,9 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use tsexplain_relation::{AggQuery, Datum, Relation};
+use tsexplain_relation::{AggQuery, Datum, Relation, Schema};
 use tsexplain_store::{DataStore, Recovery, TenantCheckpoint};
 
 use crate::durability::TenantSpill;
@@ -129,8 +142,36 @@ pub struct RegistryStats {
     pub totals: SessionStats,
 }
 
-/// The tenant map: dataset id → independently locked session.
-type SessionMap = HashMap<u64, Arc<Mutex<ExplainSession>>>;
+/// One registered dataset: its session behind the tenant lock, plus its
+/// schema, which never changes after registration and so is shared without
+/// the lock.
+#[derive(Debug)]
+struct Tenant {
+    id: DatasetId,
+    schema: Arc<Schema>,
+    session: Mutex<ExplainSession>,
+}
+
+impl Tenant {
+    fn new(id: u64, session: ExplainSession) -> Arc<Tenant> {
+        Arc::new(Tenant {
+            id: DatasetId(id),
+            schema: Arc::new(session.schema().clone()),
+            session: Mutex::new(session),
+        })
+    }
+
+    /// Takes the tenant lock; the wait is traced as `tenant_lock_wait`.
+    fn lock(&self) -> Result<MutexGuard<'_, ExplainSession>, RegistryError> {
+        let _span = tsexplain_obs::trace::span("tenant_lock_wait");
+        self.session
+            .lock()
+            .map_err(|_| RegistryError::Poisoned(self.id))
+    }
+}
+
+/// The tenant map: dataset id → independently locked tenant.
+type SessionMap = HashMap<u64, Arc<Tenant>>;
 
 /// Thread-safe multi-tenant map of [`ExplainSession`]s (see module docs).
 #[derive(Debug)]
@@ -204,9 +245,7 @@ impl SessionRegistry {
             let id = tenant.id;
             match registry.rebuild_session(tenant) {
                 Ok(session) => {
-                    registry
-                        .map_write()
-                        .insert(id, Arc::new(Mutex::new(session)));
+                    registry.map_write().insert(id, Tenant::new(id, session));
                 }
                 Err(e) => notes.push(format!("tenant {id} not rebuilt: {e}")),
             }
@@ -272,7 +311,19 @@ impl SessionRegistry {
         relation: Relation,
         query: AggQuery,
     ) -> Result<DatasetId, TsExplainError> {
+        self.register_counted(relation, query).map(|(id, _)| id)
+    }
+
+    /// [`SessionRegistry::register`], also returning the new tenant's
+    /// distinct timestamp count, read before the tenant is published — so
+    /// no append can land in between (what `POST /datasets` acknowledges).
+    pub fn register_counted(
+        &self,
+        relation: Relation,
+        query: AggQuery,
+    ) -> Result<(DatasetId, usize), TsExplainError> {
         let mut session = ExplainSession::new(relation, query)?;
+        let n_points = session.n_points();
         // One tenant alone must also respect the global budget, and all
         // tenants must stamp recency from the same clock.
         session.set_cache_budget(self.memory_budget);
@@ -285,15 +336,15 @@ impl SessionRegistry {
             // record lands then blocks on this lock during its export and
             // snapshots the tenant itself — the registration can never sit
             // only in a log segment that the same cycle truncates.
-            let handle = Arc::new(Mutex::new(session));
-            let Ok(guard) = handle.lock() else {
+            let tenant = Tenant::new(id, session);
+            let Ok(guard) = tenant.session.lock() else {
                 // Unreachable in practice (no other thread has seen the
                 // handle yet), but a storage error beats a panic here.
                 return Err(TsExplainError::Storage(
                     "freshly created session lock poisoned".to_string(),
                 ));
             };
-            self.map_write().insert(id, Arc::clone(&handle));
+            self.map_write().insert(id, Arc::clone(&tenant));
             let logged =
                 store.log_register(id, guard.schema(), guard.query(), &guard.export_rows());
             drop(guard);
@@ -303,10 +354,10 @@ impl SessionRegistry {
                 return Err(TsExplainError::Storage(e.to_string()));
             }
         } else {
-            self.map_write().insert(id, Arc::new(Mutex::new(session)));
+            self.map_write().insert(id, Tenant::new(id, session));
         }
         self.maybe_checkpoint();
-        Ok(DatasetId(id))
+        Ok((DatasetId(id), n_points))
     }
 
     /// Removes a tenant, dropping its session and caches — and, with a
@@ -316,12 +367,12 @@ impl SessionRegistry {
     /// durable, the tenant is put back and the deletion FAILS: a client
     /// must never hold an ack for a DELETE that a reboot would undo.
     pub fn remove(&self, id: DatasetId) -> Result<bool, RegistryError> {
-        let Some(handle) = self.map_write().remove(&id.0) else {
+        let Some(tenant) = self.map_write().remove(&id.0) else {
             return Ok(false);
         };
         if let Some(store) = &self.store {
             if let Err(e) = store.log_remove(id.0) {
-                self.map_write().insert(id.0, handle);
+                self.map_write().insert(id.0, tenant);
                 return Err(RegistryError::Session(TsExplainError::Storage(
                     e.to_string(),
                 )));
@@ -348,45 +399,49 @@ impl SessionRegistry {
         self.len() == 0
     }
 
-    /// The session handle for `id`. The map lock is released before the
-    /// handle is returned; callers lock the session itself.
-    pub fn session(&self, id: DatasetId) -> Result<Arc<Mutex<ExplainSession>>, RegistryError> {
+    /// Tenant `id`'s handle. The map lock is released before it returns.
+    fn tenant(&self, id: DatasetId) -> Result<Arc<Tenant>, RegistryError> {
         self.map_read()
             .get(&id.0)
             .cloned()
             .ok_or(RegistryError::UnknownDataset(id))
     }
 
-    /// Answers one explain request against tenant `id`, then enforces the
-    /// global memory budget.
+    /// Tenant `id`'s schema — what decoding wire rows for an append needs.
+    /// Read without the tenant lock: a schema never changes after
+    /// registration.
+    pub fn schema(&self, id: DatasetId) -> Result<Arc<Schema>, RegistryError> {
+        Ok(Arc::clone(&self.tenant(id)?.schema))
+    }
+
+    /// Answers one explain request against tenant `id`: the cube is
+    /// acquired under the tenant lock by [`SessionRegistry::prepare`], and
+    /// the pipeline then runs on the prepared cube with no lock held.
     pub fn explain(
         &self,
         id: DatasetId,
         request: &ExplainRequest,
     ) -> Result<ExplainResult, RegistryError> {
-        let handle = self.session(id)?;
-        let result = {
-            let mut session = handle.lock().map_err(|_| RegistryError::Poisoned(id))?;
-            session.explain(request)?
-        };
-        self.enforce_global_budget();
-        Ok(result)
+        let prepared = self.prepare(id, request)?;
+        Ok(prepared.explain(request)?)
     }
 
-    /// Prepares tenant `id`'s cube for `request` under **one** lock hold
-    /// and returns it as a lock-free [`PreparedCube`] — the batching
-    /// primitive behind a multi-strategy fan-out (`/compare`): lock once,
-    /// then run every strategy concurrently against the shared cube
-    /// without touching the tenant again. Enforces the global memory
-    /// budget on the way out, like [`SessionRegistry::explain`].
+    /// Prepares tenant `id`'s cube for `request` under **one** tenant lock
+    /// hold and returns it as a lock-free [`PreparedCube`]: validation,
+    /// cube acquisition and time slicing happen here, never the pipeline.
+    /// Every explain goes through it — a single request
+    /// ([`SessionRegistry::explain`]) and a multi-strategy fan-out
+    /// (`/compare`, which runs every strategy concurrently against the
+    /// shared cube) alike. Enforces the global memory budget on the way
+    /// out.
     pub fn prepare(
         &self,
         id: DatasetId,
         request: &ExplainRequest,
     ) -> Result<PreparedCube, RegistryError> {
-        let handle = self.session(id)?;
+        let tenant = self.tenant(id)?;
         let prepared = {
-            let mut session = handle.lock().map_err(|_| RegistryError::Poisoned(id))?;
+            let mut session = tenant.lock()?;
             session.prepare(request)?
         };
         self.enforce_global_budget();
@@ -394,14 +449,21 @@ impl SessionRegistry {
     }
 
     /// Appends raw rows (schema order) to tenant `id`, then enforces the
-    /// global memory budget. With a durable store attached, the batch is
-    /// WAL-logged (and fsynced) after the session accepts it and before
-    /// this returns — the log is appended under the session lock so WAL
-    /// order matches application order and `seq` stays exact.
-    pub fn append_rows(&self, id: DatasetId, rows: Vec<Vec<Datum>>) -> Result<(), RegistryError> {
-        let handle = self.session(id)?;
-        {
-            let mut session = handle.lock().map_err(|_| RegistryError::Poisoned(id))?;
+    /// global memory budget, and returns the tenant's distinct timestamp
+    /// count right after this batch (read under the same lock hold, so a
+    /// concurrent append cannot leak into it). With a durable store
+    /// attached, the batch is WAL-logged (and fsynced) after the session
+    /// accepts it and before this returns — the log is appended under the
+    /// session lock so WAL order matches application order and `seq` stays
+    /// exact.
+    pub fn append_rows(
+        &self,
+        id: DatasetId,
+        rows: Vec<Vec<Datum>>,
+    ) -> Result<usize, RegistryError> {
+        let tenant = self.tenant(id)?;
+        let n_points = {
+            let mut session = tenant.lock()?;
             match &self.store {
                 Some(store) => {
                     let seq = session.total_rows() as u64;
@@ -420,16 +482,17 @@ impl SessionRegistry {
                 }
                 None => session.append_rows(rows)?,
             }
-        }
+            session.n_points()
+        };
         self.enforce_global_budget();
         self.maybe_checkpoint();
-        Ok(())
+        Ok(n_points)
     }
 
     /// A snapshot of tenant `id`'s counters.
     pub fn dataset_stats(&self, id: DatasetId) -> Result<DatasetSnapshot, RegistryError> {
-        let handle = self.session(id)?;
-        let session = handle.lock().map_err(|_| RegistryError::Poisoned(id))?;
+        let tenant = self.tenant(id)?;
+        let session = tenant.lock()?;
         Ok(DatasetSnapshot {
             stats: session.stats(),
             n_points: session.n_points(),
@@ -447,8 +510,8 @@ impl SessionRegistry {
             memory_budget: self.memory_budget,
             ..RegistryStats::default()
         };
-        for (_, handle) in handles {
-            let Ok(session) = handle.lock() else { continue };
+        for tenant in handles {
+            let Ok(session) = tenant.lock() else { continue };
             out.cached_cubes += session.cached_cubes();
             out.cache_bytes += session.cache_bytes();
             let s = session.stats();
@@ -504,11 +567,11 @@ impl SessionRegistry {
             }
         };
         let mut tenants = Vec::new();
-        for (id, handle) in self.handles() {
+        for tenant in self.handles() {
             // tsx-lint: allow(lock-order, session lock under the checkpoint gate follows the documented order registry → session → store WAL; the gate is taken before any session lock and is never a session or WAL lock)
-            let Ok(session) = handle.lock() else { continue };
+            let Ok(session) = tenant.lock() else { continue };
             tenants.push(TenantCheckpoint {
-                id,
+                id: tenant.id.0,
                 schema: session.schema().clone(),
                 query: session.query().clone(),
                 rows: session.export_rows(),
@@ -527,12 +590,9 @@ impl SessionRegistry {
         }
     }
 
-    /// A stable snapshot of `(id, handle)` pairs, map lock released.
-    fn handles(&self) -> Vec<(u64, Arc<Mutex<ExplainSession>>)> {
-        self.map_read()
-            .iter()
-            .map(|(&id, h)| (id, Arc::clone(h)))
-            .collect()
+    /// A stable snapshot of the tenant handles, map lock released.
+    fn handles(&self) -> Vec<Arc<Tenant>> {
+        self.map_read().values().map(Arc::clone).collect()
     }
 
     /// Evicts globally least-recently-used cubes (one at a time, locking
@@ -553,16 +613,16 @@ impl SessionRegistry {
             let handles = self.handles();
             let mut total_bytes = 0usize;
             let mut total_cubes = 0usize;
-            let mut oldest: Option<(u64, u64)> = None; // (stamp, tenant id)
-            for (id, handle) in &handles {
-                let Ok(session) = handle.try_lock() else {
+            let mut oldest: Option<(u64, DatasetId)> = None; // (stamp, tenant id)
+            for tenant in &handles {
+                let Ok(session) = tenant.session.try_lock() else {
                     continue;
                 };
                 total_bytes += session.cache_bytes();
                 total_cubes += session.cached_cubes();
                 if let Some(stamp) = session.lru_stamp() {
                     if oldest.is_none_or(|(s, _)| stamp < s) {
-                        oldest = Some((stamp, *id));
+                        oldest = Some((stamp, tenant.id));
                     }
                 }
             }
@@ -570,10 +630,10 @@ impl SessionRegistry {
                 return;
             }
             let Some((_, victim)) = oldest else { return };
-            let Some((_, handle)) = handles.iter().find(|(id, _)| *id == victim) else {
+            let Some(tenant) = handles.iter().find(|t| t.id == victim) else {
                 return;
             };
-            let Ok(mut session) = handle.try_lock() else {
+            let Ok(mut session) = tenant.session.try_lock() else {
                 return;
             };
             if session.evict_lru_one().is_none() {
@@ -894,5 +954,104 @@ mod tests {
         assert_eq!(stats.totals.rows_appended, 4);
         assert_eq!(stats.memory_budget, DEFAULT_REGISTRY_BUDGET);
         assert!(stats.cache_bytes > 0);
+    }
+
+    /// The wire bytes of a result with its wall-clock block zeroed.
+    fn without_latency(mut result: ExplainResult) -> String {
+        use serde::Serialize;
+        result.latency = crate::latency::LatencyBreakdown::default();
+        serde_json::to_string(&result.serialize()).unwrap()
+    }
+
+    #[test]
+    fn appends_and_stats_complete_while_an_explain_is_mid_pipeline() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let registry = Arc::new(SessionRegistry::new());
+        let id = registry
+            .register(relation(0..12), AggQuery::sum("t", "v"))
+            .unwrap();
+        let (reached_tx, reached_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let explainer = {
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || {
+                crate::session::on_next_pipeline(Box::new(move || {
+                    reached_tx.send(()).unwrap();
+                    // Held here until released (or the test gives up).
+                    let _ = release_rx.recv();
+                }));
+                registry.explain(id, &request())
+            })
+        };
+        reached_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the explain reaches its pipeline");
+        // The explain is held after its cube was prepared: a same-tenant
+        // append and stats read must not wait for it.
+        let (done_tx, done_rx) = mpsc::channel();
+        let writer = {
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || {
+                let appended = registry.append_rows(id, rows_for(12..21));
+                let _ = done_tx.send((appended, registry.dataset_stats(id)));
+            })
+        };
+        let outcome = done_rx.recv_timeout(Duration::from_secs(10));
+        release_tx.send(()).unwrap();
+        let held = explainer.join().unwrap().unwrap();
+        writer.join().unwrap();
+        let (appended, snapshot) =
+            outcome.expect("append and stats completed while the explain was held");
+        assert_eq!(appended.unwrap(), 21);
+        let snapshot = snapshot.unwrap();
+        assert_eq!(snapshot.n_points, 21);
+        assert_eq!(snapshot.stats.requests, 1);
+        // The held explain answers over the rows it was prepared with.
+        let mut solo = ExplainSession::new(relation(0..12), AggQuery::sum("t", "v")).unwrap();
+        let expected = solo.explain(&request()).unwrap();
+        assert_eq!(held.stats.n_points, 12);
+        assert_eq!(without_latency(held), without_latency(expected));
+    }
+
+    #[test]
+    fn a_panic_mid_pipeline_leaves_the_tenant_serving() {
+        let registry = SessionRegistry::new();
+        let id = registry
+            .register(relation(0..12), AggQuery::sum("t", "v"))
+            .unwrap();
+        crate::session::on_next_pipeline(Box::new(|| panic!("injected pipeline panic")));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            registry.explain(id, &request())
+        }));
+        assert!(unwound.is_err());
+        // No session guard was held when it unwound: nothing is poisoned.
+        assert_eq!(registry.explain(id, &request()).unwrap().stats.n_points, 12);
+        assert_eq!(registry.append_rows(id, rows_for(12..13)).unwrap(), 13);
+        assert_eq!(registry.dataset_stats(id).unwrap().stats.requests, 2);
+    }
+
+    #[test]
+    fn append_acks_report_their_own_batch_count() {
+        let registry = Arc::new(SessionRegistry::new());
+        let (id, n_points) = registry
+            .register_counted(relation(0..12), AggQuery::sum("t", "v"))
+            .unwrap();
+        assert_eq!(n_points, 12);
+        // Every batch adds one new timestamp, so the counts the appends
+        // report must be exactly 13..=20, one each, whatever the order the
+        // threads land in.
+        let writers: Vec<_> = (12..20)
+            .map(|t| {
+                let registry = Arc::clone(&registry);
+                std::thread::spawn(move || registry.append_rows(id, rows_for(t..t + 1)).unwrap())
+            })
+            .collect();
+        let mut counts: Vec<usize> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+        counts.sort_unstable();
+        assert_eq!(counts, (13..=20).collect::<Vec<_>>());
+        assert_eq!(registry.dataset_stats(id).unwrap().n_points, 20);
+        // An empty batch reports the current count.
+        assert_eq!(registry.append_rows(id, Vec::new()).unwrap(), 20);
     }
 }

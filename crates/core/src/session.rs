@@ -742,10 +742,33 @@ impl PreparedCube {
         request: &ExplainRequest,
         positions: Option<Vec<usize>>,
     ) -> Result<ExplainResult, TsExplainError> {
+        #[cfg(test)]
+        run_pipeline_hook();
         let mut result = explain_cube_request(&self.cube, request, positions)?;
         result.latency.precompute = self.precompute;
         result.stats.cube_from_cache = self.from_cache;
         Ok(result)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    static PIPELINE_HOOK: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// Test hook: runs `hook` on this thread when its next
+/// [`PreparedCube::explain_with_positions`] starts — after the cube was
+/// prepared, before the pipeline — so a test can hold an explain there.
+#[cfg(test)]
+pub(crate) fn on_next_pipeline(hook: Box<dyn FnOnce()>) {
+    PIPELINE_HOOK.with(|slot| *slot.borrow_mut() = Some(hook));
+}
+
+#[cfg(test)]
+fn run_pipeline_hook() {
+    if let Some(hook) = PIPELINE_HOOK.with(|slot| slot.borrow_mut().take()) {
+        hook();
     }
 }
 

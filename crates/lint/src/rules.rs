@@ -22,6 +22,8 @@ pub const NO_PANIC: &str = "no-panic";
 pub const LOCK_ORDER: &str = "lock-order";
 /// An fsync-class call under a held guard.
 pub const FSYNC_UNDER_LOCK: &str = "fsync-under-lock";
+/// An explain pipeline call under a held guard.
+pub const COMPUTE_UNDER_LOCK: &str = "compute-under-lock";
 
 /// Environment variables the workspace documents as behaviour knobs.
 /// Reads of anything else inside a determinism-scoped crate are
@@ -38,6 +40,7 @@ pub const ALL_RULES: &[&str] = &[
     NO_PANIC,
     LOCK_ORDER,
     FSYNC_UNDER_LOCK,
+    COMPUTE_UNDER_LOCK,
 ];
 
 /// Map methods whose iteration order is the hash order.
@@ -284,19 +287,22 @@ fn locks(scan: &Scan, out: &mut Vec<Diagnostic>) {
     }
     acquisitions.sort_unstable();
 
-    // fsync-class calls.
-    let mut syncs: Vec<(usize, &'static str)> = Vec::new();
-    for name in ["sync_all", "sync_data"] {
+    // Calls that must not run under a live guard: fsync-class calls, and
+    // the explain pipeline (Cascading Analysts + segmentation), which runs
+    // on a prepared cube after the lock is released. `.prepare(` is the
+    // one explain step meant to run under the tenant lock.
+    let mut held_calls: Vec<(usize, &'static str, &'static str)> = Vec::new(); // (at, name, rule)
+    for (name, rule) in [
+        ("sync_all", FSYNC_UNDER_LOCK),
+        ("sync_data", FSYNC_UNDER_LOCK),
+        ("explain", COMPUTE_UNDER_LOCK),
+        ("explain_with_positions", COMPUTE_UNDER_LOCK),
+    ] {
         for call in method_calls(code, name) {
-            let n: &'static str = if name == "sync_all" {
-                "sync_all"
-            } else {
-                "sync_data"
-            };
-            syncs.push((call.at, n));
+            held_calls.push((call.at, name, rule));
         }
     }
-    syncs.sort_unstable();
+    held_calls.sort_unstable();
 
     // Guard bindings: `let <pat> = <receiver>.lock()…;` where the
     // initializer's tail is guard-preserving (`?`, `.expect(…)`,
@@ -340,7 +346,7 @@ fn locks(scan: &Scan, out: &mut Vec<Diagnostic>) {
     let mut live: Vec<Guard> = Vec::new();
     let mut pi = 0usize; // next pending guard
     let mut ai = 0usize; // next acquisition
-    let mut si = 0usize; // next sync
+    let mut si = 0usize; // next held call
     let drops = drop_calls(code);
     let mut di = 0usize;
     for (i, &b) in bytes.iter().enumerate() {
@@ -381,21 +387,28 @@ fn locks(scan: &Scan, out: &mut Vec<Diagnostic>) {
                 ));
             }
         }
-        while si < syncs.len() && syncs[si].0 == i {
-            let (at, name) = syncs[si];
+        while si < held_calls.len() && held_calls[si].0 == i {
+            let (at, name, rule) = held_calls[si];
             si += 1;
             if scan.in_test(at) {
                 continue;
             }
             if let Some(guard) = live.last() {
+                let why = if rule == FSYNC_UNDER_LOCK {
+                    "fsync latency under a lock stalls every waiter; \
+                     deliberate fsync-before-ack sites must carry an allow \
+                     directive citing the documented order"
+                } else {
+                    "pipeline work under a lock stalls every waiter; \
+                     `.prepare()` the cube under the guard, release it, \
+                     then explain the prepared cube"
+                };
                 out.push(Diagnostic::at(
                     scan.line_of(at),
-                    FSYNC_UNDER_LOCK,
+                    rule,
                     format!(
                         "`{name}()` while guard `{g}` (over `{gr}`, line {gl}) is \
-                         held: fsync latency under a lock stalls every waiter; \
-                         deliberate fsync-before-ack sites must carry an allow \
-                         directive citing the documented order",
+                         held: {why}",
                         g = guard.name,
                         gr = guard.receiver,
                         gl = guard.line,
@@ -945,6 +958,43 @@ mod tests {
         let d = diags(src, Family::Locks);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, FSYNC_UNDER_LOCK);
+    }
+
+    #[test]
+    fn explain_under_a_session_guard_is_flagged_but_prepare_is_not() {
+        // The shape of a registry explain that runs the whole pipeline
+        // under the tenant lock.
+        let locked = "fn explain(&self, id: DatasetId, request: &ExplainRequest) -> R {\n\
+                          let handle = self.session(id)?;\n\
+                          let result = {\n\
+                              let mut session = handle.lock().map_err(|_| Poisoned(id))?;\n\
+                              session.explain(request)?\n\
+                          };\n\
+                          self.enforce_global_budget();\n\
+                          Ok(result)\n\
+                      }\n\
+                      fn stream(s: &Mutex<ExplainSession>, r: &ExplainRequest) -> R {\n\
+                          let g = s.lock()?;\n\
+                          g.explain_with_positions(r, None)\n\
+                      }\n";
+        let d = diags(locked, Family::Locks);
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d.iter().all(|d| d.rule == COMPUTE_UNDER_LOCK), "{d:?}");
+        assert_eq!((d[0].line, d[1].line), (5, 12));
+        // Prepare under the guard, explain after it is released.
+        let prepared = "fn prepare(&self, id: DatasetId, request: &ExplainRequest) -> P {\n\
+                            let tenant = self.tenant(id)?;\n\
+                            let prepared = {\n\
+                                let mut session = tenant.lock()?;\n\
+                                session.prepare(request)?\n\
+                            };\n\
+                            Ok(prepared)\n\
+                        }\n\
+                        fn explain(&self, id: DatasetId, request: &ExplainRequest) -> R {\n\
+                            let prepared = self.prepare(id, request)?;\n\
+                            Ok(prepared.explain(request)?)\n\
+                        }\n";
+        assert!(diags(prepared, Family::Locks).is_empty());
     }
 
     #[test]

@@ -52,3 +52,19 @@ fn scoped(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {
     let h = b.lock().unwrap_or_else(|e| e.into_inner());
     *h
 }
+
+/// VIOLATION (compute-under-lock): the explain pipeline runs while the
+/// session guard is held, so every same-tenant writer waits behind it.
+fn explain_locked(session: &Mutex<Session>, request: &Request) -> Answer {
+    let s = session.lock().unwrap_or_else(|e| e.into_inner());
+    s.explain(request)
+}
+
+/// CLEAN: prepare under the guard, explain once it is released.
+fn explain_prepared(session: &Mutex<Session>, request: &Request) -> Answer {
+    let prepared = {
+        let mut s = session.lock().unwrap_or_else(|e| e.into_inner());
+        s.prepare(request)
+    };
+    prepared.explain(request)
+}

@@ -72,7 +72,8 @@ fn every_rule_family_catches_at_least_one_violation() {
         "no-unwrap",
         "no-panic", // panic-freedom
         "lock-order",
-        "fsync-under-lock", // lock/IO discipline
+        "fsync-under-lock",
+        "compute-under-lock", // lock/IO discipline
         "bad-directive",
         "unused-allow", // directive hygiene
     ] {

@@ -116,15 +116,10 @@ fn register(shared: &ServerShared, body: &[u8]) -> Result<Response, ApiError> {
             .push_row(row)
             .map_err(|e| ApiError::bad_request(e.to_string()))?;
     }
-    let id = shared
+    let (id, n_points) = shared
         .registry
-        .register(builder.finish(), spec.query)
+        .register_counted(builder.finish(), spec.query)
         .map_err(ApiError::from)?;
-    let n_points = shared
-        .registry
-        .dataset_stats(id)
-        .map(|s| s.n_points)
-        .unwrap_or(0);
     Ok(json_ok(
         201,
         &DatasetCreated {
@@ -137,25 +132,15 @@ fn register(shared: &ServerShared, body: &[u8]) -> Result<Response, ApiError> {
 
 fn append(shared: &ServerShared, id: DatasetId, body: &[u8]) -> Result<Response, ApiError> {
     let spec: AppendRowsBody = parse_body(body)?;
-    // Row decoding needs the tenant's schema.
-    let schema = {
-        let handle = shared.registry.session(id).map_err(ApiError::from)?;
-        let session = handle
-            .lock()
-            .map_err(|_| ApiError::internal(format!("dataset {id} is poisoned")))?;
-        session.schema().clone()
-    };
+    // Row decoding needs the tenant's schema, which is read without the
+    // tenant lock; the lock is taken once, to append.
+    let schema = shared.registry.schema(id).map_err(ApiError::from)?;
     let rows = decode_rows(&schema, &spec.rows)?;
     let appended = rows.len();
-    shared
+    let n_points = shared
         .registry
         .append_rows(id, rows)
         .map_err(ApiError::from)?;
-    let n_points = shared
-        .registry
-        .dataset_stats(id)
-        .map(|s| s.n_points)
-        .unwrap_or(0);
     Ok(json_ok(200, &AppendAck { appended, n_points }))
 }
 

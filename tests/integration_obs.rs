@@ -121,7 +121,12 @@ fn flight_recorder_captures_the_explain_span_tree() {
         .expect("the explain request was recorded");
     let mut names = Vec::new();
     span_names(explain_entry.get("spans").unwrap(), &mut names);
-    for expected in ["cube_acquire", "segmentation", "cascading"] {
+    for expected in [
+        "tenant_lock_wait",
+        "cube_acquire",
+        "segmentation",
+        "cascading",
+    ] {
         assert!(
             names.contains(&expected.to_string()),
             "missing {expected} in {names:?}"
